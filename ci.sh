@@ -130,8 +130,10 @@ target/release/perf_pipeline --fast --out /tmp/BENCH_pipeline_fast.json
 echo "== perf smoke: groomd service baseline (release, --fast) =="
 # Drives groomd over a real loopback socket: asserts the response
 # transcript digest is byte-identical at 1 worker, 4 workers, and with the
-# solve cache cold and warm, then ramps pipelined bursts against a small
-# queue to record the blocking point. The checked-in
+# solve cache cold and warm, ramps pipelined bursts against a small queue
+# to record the blocking point, then times 500 sequential PINGs on one
+# connection and exits non-zero if their p50 reaches 500 µs (a front end
+# that sleeps on a timer when idle pays ~2 ms there). The checked-in
 # results/BENCH_groomd.json is produced by the full run:
 # target/release/perf_service
 target/release/perf_service --fast --out /tmp/BENCH_groomd_fast.json

@@ -1,6 +1,6 @@
 //! End-to-end perf + determinism baseline for groomd over a real socket.
 //!
-//! Two phases:
+//! Three phases:
 //!
 //! 1. **Determinism digest.** A pinned mixed-kind request corpus is served
 //!    by three fresh servers — 1 worker (cache off), 4 workers (cache
@@ -16,9 +16,13 @@
 //!    The run records sustained solves/sec, the blocking rate at the
 //!    saturating burst, and the server's own queue-wait / solve-time
 //!    percentiles from its final `STATS` line.
+//! 3. **Round trip.** 100 warm-up and then 500 measured sequential `PING`s
+//!    on one connection: what the TCP front end alone adds to every
+//!    request. The run records their p50 and p99 and exits non-zero when
+//!    the p50 reaches [`PING_P50_CEILING_US`].
 //!
 //! `ci.sh` runs the `--fast` variant (small corpus, short ramp; the
-//! digest assertion runs in full). The checked-in
+//! digest assertion and the round-trip phase run in full). The checked-in
 //! `results/BENCH_groomd.json` is produced by the full run:
 //! `target/release/perf_service`.
 //!
@@ -32,6 +36,7 @@ use std::time::Instant;
 use grooming::solve::Instance;
 use grooming_graph::generators;
 use grooming_graph::ids::NodeId;
+use grooming_service::cache::{fnv1a64, FNV1A64_BASIS};
 use grooming_service::protocol::format_batch_request;
 use grooming_service::{tcp, Request, Service, ServiceConfig};
 use grooming_sonet::blsr::BlsrRing;
@@ -39,6 +44,14 @@ use grooming_sonet::demand::DemandSet;
 use grooming_sonet::weighted::WeightedDemandSet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Sequential `PING`s sent before the measured ones.
+const PING_WARMUP: usize = 100;
+/// Sequential `PING`s measured.
+const PING_MEASURED: usize = 500;
+/// The `PING` round-trip p50 must stay below this. A front end that
+/// sleeps on a timer when idle pays that timer here (2 ms per sleep).
+const PING_P50_CEILING_US: u64 = 500;
 
 struct Opts {
     fast: bool,
@@ -73,12 +86,7 @@ fn parse_opts() -> Opts {
 /// FNV-1a 64 over a transcript, hex-encoded — the digest the determinism
 /// phase compares and records.
 fn digest(text: &str) -> String {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for b in text.bytes() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{hash:016x}")
+    format!("{:016x}", fnv1a64(text.as_bytes(), FNV1A64_BASIS))
 }
 
 /// A groomd instance on an ephemeral loopback port.
@@ -259,6 +267,23 @@ fn ramp_round(conn: &mut Conn, offered: usize, round: u64, id_base: u64) -> Ramp
     }
 }
 
+/// Sequential `PING` round trips on one connection; returns the measured
+/// ones' (p50, p99) in µs.
+fn ping_round_trips(conn: &mut Conn) -> (u64, u64) {
+    let mut us: Vec<u64> = (0..PING_WARMUP + PING_MEASURED)
+        .map(|_| {
+            let started = Instant::now();
+            conn.send("PING\n");
+            assert_eq!(conn.read_reply(), "PONG\n");
+            started.elapsed().as_micros() as u64
+        })
+        .skip(PING_WARMUP)
+        .collect();
+    us.sort_unstable();
+    let percentile = |q: f64| us[((q * us.len() as f64).ceil() as usize).max(1) - 1];
+    (percentile(0.50), percentile(0.99))
+}
+
 fn main() {
     let opts = parse_opts();
     let (corpus_batches, max_burst) = if opts.fast { (4, 16) } else { (12, 128) };
@@ -337,6 +362,15 @@ fn main() {
     let solve_p99 = stats_field(&stats, "solve_p99_us");
     groomd.stop();
 
+    // Phase 3: sequential PING round trips on an idle server.
+    let groomd = Groomd::start(1, 0, 256, 1 << 22);
+    let (ping_p50, ping_p99) = ping_round_trips(&mut groomd.connect());
+    groomd.stop();
+    println!(
+        "  PING round trip: p50 {ping_p50}us p99 {ping_p99}us over {PING_MEASURED} \
+         sequential requests (ceiling {PING_P50_CEILING_US}us)"
+    );
+
     let last = rounds.last().expect("at least one round");
     println!(
         "  blocking point: burst {} → rate {:.2}, sustained {:.1} solves/s, \
@@ -387,7 +421,8 @@ fn main() {
         "  ],\n  \"blocking\": {{\"offered_batches\": {}, \"rejected_requests\": {}, \
          \"blocking_rate\": {:.3}, \"sustained_solves_per_sec\": {:.1}}},\n  \
          \"queue_wait_us\": {{\"p50\": {qwait_p50}, \"p99\": {qwait_p99}}},\n  \
-         \"solve_time_us\": {{\"p50\": {solve_p50}, \"p99\": {solve_p99}}}\n}}\n",
+         \"solve_time_us\": {{\"p50\": {solve_p50}, \"p99\": {solve_p99}}},\n  \
+         \"round_trip_us\": {{\"p50\": {ping_p50}, \"p99\": {ping_p99}}}\n}}\n",
         last.offered,
         last.rejected,
         last.blocking_rate(),
@@ -398,4 +433,9 @@ fn main() {
         std::process::exit(1);
     });
     println!("baseline written to {}", opts.out);
+
+    assert!(
+        ping_p50 < PING_P50_CEILING_US,
+        "PING round-trip p50 {ping_p50}us reached the {PING_P50_CEILING_US}us ceiling"
+    );
 }

@@ -8,6 +8,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
+use grooming_service::cache::{fnv1a64, FNV1A64_BASIS};
 use grooming_service::{tcp, Service, ServiceConfig};
 
 /// A mixed-kind batch in the wire grammar — the canned workload.
@@ -66,15 +67,6 @@ demands v1 6 5
 3 5
 END
 ";
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 fn read_line(reader: &mut BufReader<TcpStream>) -> String {
     let mut line = String::new();
@@ -148,14 +140,14 @@ fn main() {
     );
 
     let second = run_once(2);
+    let digest = fnv1a64(first.as_bytes(), FNV1A64_BASIS);
     assert_eq!(
-        fnv1a(first.as_bytes()),
-        fnv1a(second.as_bytes()),
+        digest,
+        fnv1a64(second.as_bytes(), FNV1A64_BASIS),
         "transcripts diverged across worker counts:\n--- 1 worker ---\n{first}--- 2 workers ---\n{second}"
     );
     println!(
-        "groomd smoke OK: {} transcript bytes, digest 0x{:016x} at 1 and 2 workers",
-        first.len(),
-        fnv1a(first.as_bytes())
+        "groomd smoke OK: {} transcript bytes, digest 0x{digest:016x} at 1 and 2 workers",
+        first.len()
     );
 }

@@ -33,8 +33,12 @@ use grooming::solve::{Instance, Plan};
 
 use crate::protocol::format_item;
 
-/// FNV-1a 64-bit over `bytes`, starting from `basis`.
-fn fnv1a64(bytes: &[u8], basis: u64) -> u64 {
+/// The FNV-1a 64-bit offset basis: where a fresh [`fnv1a64`] starts.
+pub const FNV1A64_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64-bit over `bytes`, continuing from `basis` — the workspace's
+/// one copy (cache keys, and the smoke and perf transcript digests).
+pub fn fnv1a64(bytes: &[u8], basis: u64) -> u64 {
     let mut hash = basis;
     for &b in bytes {
         hash ^= b as u64;
@@ -56,7 +60,7 @@ pub fn instance_digest(instance: &Instance, algo: Option<Algorithm>) -> u128 {
         Some(algo) => algo.wire_name(),
         None => "portfolio",
     };
-    let mut h1 = fnv1a64(canonical.as_bytes(), 0xcbf2_9ce4_8422_2325);
+    let mut h1 = fnv1a64(canonical.as_bytes(), FNV1A64_BASIS);
     h1 = fnv1a64(solver.as_bytes(), h1);
     let mut h2 = fnv1a64(canonical.as_bytes(), 0x6c62_272e_07bb_0142);
     h2 = fnv1a64(solver.as_bytes(), h2);

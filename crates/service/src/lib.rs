@@ -39,9 +39,9 @@
 //!   serde): `BATCH`/`STATS`/`PING`/`SHUTDOWN` verbs, instance payloads in
 //!   the versioned demand-list format of [`grooming_graph::io`].
 //! * [`tcp`] — the same core served over a loopback
-//!   [`std::net::TcpListener`] by an event-driven poller: one thread
-//!   multiplexes every connection with nonblocking accepts and reads,
-//!   per-connection incremental line buffers that survive arbitrarily
+//!   [`std::net::TcpListener`] with blocking I/O that wakes on events (an
+//!   acceptor, and a reader and a writer thread per connection; none
+//!   sleeps on a timer): incremental line buffers that survive arbitrarily
 //!   slow or fragmented clients, and pipelined request blocks answered in
 //!   order (the CLI's `serve` subcommand).
 //!

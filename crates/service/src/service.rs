@@ -359,19 +359,6 @@ impl Ticket {
             .recv()
             .expect("service answers every accepted request exactly once")
     }
-
-    /// Non-blocking poll: the response if the batch has completed, `None`
-    /// while it is still in flight. The event-driven TCP front end drives
-    /// many pending tickets from one thread with this.
-    pub fn poll(&self) -> Option<BatchResponse> {
-        match self.rx.try_recv() {
-            Ok(response) => Some(response),
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => {
-                panic!("service answers every accepted request exactly once")
-            }
-        }
-    }
 }
 
 /// Admission/completion counters (monotonic over the service lifetime).
@@ -472,6 +459,10 @@ struct QueueState {
     /// Workers hold off popping (maintenance window); admission stays
     /// open. Shutdown overrides pause so draining always terminates.
     paused: bool,
+    /// Content digests workers are solving right now (cache on only). A
+    /// queued item with the same content waits for that solve and is then
+    /// a cache hit instead of a second, concurrent solve.
+    solving: Vec<u128>,
 }
 
 /// Everything the stats lock guards — one acquisition yields one
@@ -536,6 +527,7 @@ impl Service {
                 queued_cost: 0,
                 closed: false,
                 paused: false,
+                solving: Vec::new(),
             }),
             work_cv: Condvar::new(),
             cancel: Arc::new(AtomicBool::new(false)),
@@ -701,6 +693,15 @@ impl Service {
         self.shared.state.lock().unwrap().closed
     }
 
+    /// Blocks until shutdown has begun. Parks on the workers' condvar, which
+    /// is only ever woken with `notify_all`, so it steals no worker wake-up.
+    pub fn wait_for_shutdown(&self) {
+        let mut state = self.shared.state.lock().unwrap();
+        while !state.closed {
+            state = self.shared.work_cv.wait(state).unwrap();
+        }
+    }
+
     /// The shared cancel latch — the flag [`Service::begin_shutdown`]
     /// flips and every solve context adopts.
     pub fn cancel_flag(&self) -> Arc<AtomicBool> {
@@ -780,17 +781,24 @@ fn worker_loop(shared: &Shared) {
             loop {
                 // Shutdown overrides pause: a closed queue always drains.
                 if !state.paused || state.closed {
-                    if let Some(job) = state.jobs.pop_front() {
+                    let next = state
+                        .jobs
+                        .iter()
+                        .position(|job| !state.solving.contains(&job.digest));
+                    if let Some(job) = next.and_then(|i| state.jobs.remove(i)) {
                         // Queue → in-flight is one transition under both
                         // locks, so snapshots never lose the item.
                         state.queued_cost -= job.cost;
+                        if shared.config.cache_capacity > 0 {
+                            state.solving.push(job.digest);
+                        }
                         let mut stats = shared.stats.lock().unwrap();
                         stats.in_flight += 1;
                         stats.queue_wait.record(job.admitted_at.elapsed());
                         drop(stats);
                         break Some(job);
                     }
-                    if state.closed {
+                    if state.closed && state.jobs.is_empty() {
                         break None;
                     }
                 }
@@ -915,6 +923,16 @@ fn run_job(shared: &Shared, job: Job, workspace: Workspace) -> Workspace {
                     counters.cancelled_items += 1;
                 }
             }
+        }
+    }
+
+    if shared.config.cache_capacity > 0 {
+        // The plan is cached now (unless the solve was cut short): release
+        // any queued duplicate held back while it solved.
+        let mut state = shared.state.lock().unwrap();
+        state.solving.retain(|&d| d != job.digest);
+        if state.jobs.iter().any(|queued| queued.digest == job.digest) {
+            shared.work_cv.notify_all();
         }
     }
 

@@ -1,56 +1,59 @@
 //! The loopback TCP front end: the [`crate::protocol`] grammar served off
-//! a [`std::net::TcpListener`] by an event-driven poller.
+//! a [`std::net::TcpListener`] with blocking I/O that wakes on events.
 //!
-//! One thread multiplexes *every* connection. The listener and all
-//! accepted streams are nonblocking; each tick of the poller accepts
-//! pending connections, reads whatever bytes have arrived on each stream
-//! into a per-connection buffer, carves complete request blocks out of the
-//! buffered lines, submits them, and flushes completed replies — in
-//! request order per connection, interleaved freely across connections.
-//! Solve parallelism still lives in the service's worker pool; the poller
-//! only moves bytes and never blocks on any one peer.
+//! No thread sleeps on a timer. The acceptor blocks in `accept()`. Each
+//! connection's reader blocks in `read()`, frames complete request blocks
+//! (`block_bounds`), submits them, and hands each reply slot to the
+//! connection's writer, which waits on the slots' [`Ticket`]s in order. So
+//! a request costs its solve plus a few thread wake-ups, an idle server
+//! burns no CPU, and each open connection costs two parked threads. Solve
+//! parallelism still lives in the service's worker pool.
 //!
-//! Three properties the old thread-per-connection loop lacked, now load
-//! bearing:
+//! Three properties the front end guarantees:
 //!
 //! * **Slow clients lose nothing.** Bytes accumulate in a per-connection
 //!   buffer across arbitrarily many reads; a line (or a whole request
 //!   block) may arrive one byte at a time with stalls anywhere and is
-//!   reassembled intact. (The old loop's `BufReader::lines()` discarded a
-//!   partially-read line whenever the read timed out mid-line.)
+//!   reassembled intact. The lines a read completes are split off in one
+//!   pass, so framing is linear in the bytes received.
 //! * **Pipelining.** A client may write many request blocks back to back
 //!   without reading. Replies come back in submission order; a cheap
 //!   `PING` behind a pending `BATCH` waits its turn rather than
 //!   overtaking.
-//! * **Accept-error taxonomy.** `WouldBlock` just means "nothing pending";
-//!   per-connection failures (reset/aborted) are logged and the listener
-//!   keeps serving; only a *persistent streak* of fatal accept errors
-//!   (e.g. EMFILE) gives up — by beginning a graceful service shutdown,
-//!   never by silently spinning.
+//! * **Accept-error taxonomy.** Per-connection failures (reset/aborted)
+//!   are logged and the listener keeps serving; only a *persistent streak*
+//!   of fatal accept errors (e.g. EMFILE) gives up — by beginning a
+//!   graceful service shutdown, never by silently spinning.
 //!
 //! A `SHUTDOWN` verb (from *any* connection) begins the service's graceful
-//! shutdown: accepting stops, already-admitted batches drain and their
-//! transcripts are flushed, then connections close and the poller exits.
+//! shutdown. A watcher thread parked in [`Service::wait_for_shutdown`]
+//! then shuts every connection's read half and wakes the acceptor with one
+//! loopback connect: accepting and reading stop, already-admitted batches
+//! drain and their replies are written, then connections close and
+//! [`TcpServer::join`] returns.
 //!
-//! Connections that buffer pathological amounts of un-parseable input
-//! (beyond [`MAX_BUFFERED_BYTES`]) are dropped — the bound keeps one
-//! misbehaving peer from growing server memory without limit.
+//! A connection is dropped when its buffered input passes
+//! [`MAX_BUFFERED_BYTES`] without completing a request block — the bound
+//! keeps one misbehaving peer from growing server memory without limit —
+//! or, with a log line, when its threads cannot be spawned.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::thread;
-use std::time::Duration;
 
 use crate::protocol::{self, RequestError, WireRequest};
 use crate::service::{Service, Ticket};
 
-/// How long the poller sleeps when a tick moved no bytes at all.
-const IDLE_SLEEP: Duration = Duration::from_millis(2);
-
-/// Per-connection cap on buffered input (raw bytes + assembled lines). A
-/// peer that exceeds it without completing a request block is dropped.
+/// Per-connection cap on buffered input: bytes not yet split into lines
+/// plus the complete lines not yet consumed by a request block. A peer
+/// that exceeds it without completing a request block is dropped.
 pub const MAX_BUFFERED_BYTES: usize = 16 << 20;
+
+/// What a buffered line costs beyond its text: its `\n` and the `String`
+/// holding it, so blank lines inside an open block fill the cap too.
+const LINE_OVERHEAD: usize = 1 + std::mem::size_of::<String>();
 
 /// How many *consecutive* fatal accept errors the listener tolerates
 /// before it gives up and begins a graceful shutdown.
@@ -59,7 +62,7 @@ const MAX_FATAL_ACCEPTS: u32 = 8;
 /// A running TCP front end over a [`Service`].
 pub struct TcpServer {
     addr: SocketAddr,
-    poller: thread::JoinHandle<()>,
+    acceptor: thread::JoinHandle<()>,
 }
 
 impl TcpServer {
@@ -68,250 +71,208 @@ impl TcpServer {
         self.addr
     }
 
-    /// Blocks until the poller exits: it does once the service's shutdown
-    /// has begun and every connection has flushed its pending replies.
-    /// Call [`Service::shutdown`] afterwards to join the workers and take
-    /// the final stats snapshot.
+    /// Blocks until the server has stopped: it does once the service's
+    /// shutdown has begun and every connection has written its pending
+    /// replies. Call [`Service::shutdown`] afterwards to join the workers
+    /// and take the final stats snapshot.
     pub fn join(self) {
-        self.poller.join().expect("poller thread panicked");
+        self.acceptor.join().expect("acceptor thread panicked");
     }
 }
 
 /// Serves `service` on `listener` until shutdown begins. Returns
-/// immediately; the poller runs on its own thread.
+/// immediately; the server runs on its own threads.
 pub fn serve(listener: TcpListener, service: &Service) -> io::Result<TcpServer> {
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
+    let live = Arc::new(Mutex::new(Live::default()));
+    let watcher = {
+        let (service, live) = (service.clone(), Arc::clone(&live));
+        thread::Builder::new()
+            .name("groomd-shutdown".into())
+            .spawn(move || watch_shutdown(&service, &live, addr))?
+    };
     let service = service.clone();
-    let poller = thread::Builder::new()
-        .name("groomd-poller".into())
-        .spawn(move || poller_loop(&listener, &service))
-        .expect("spawn poller thread");
-    Ok(TcpServer { addr, poller })
+    let acceptor = thread::Builder::new()
+        .name("groomd-acceptor".into())
+        .spawn(move || {
+            accept_loop(&listener, &service, &live);
+            // Once the watcher is done, every reader has been stopped.
+            watcher.join().expect("shutdown watcher panicked");
+            for (conn, _) in std::mem::take(&mut live.lock().unwrap().conns) {
+                // A panic has already been reported by the panic hook.
+                let _ = conn.join();
+            }
+        })?;
+    Ok(TcpServer { addr, acceptor })
 }
 
-/// One reply slot of a connection's in-order reply queue.
+/// The connections the acceptor started, shared with the shutdown watcher.
+#[derive(Default)]
+struct Live {
+    /// Shutdown has begun: start no more connections.
+    closed: bool,
+    /// Each connection's thread, and its stream while it is open.
+    conns: Vec<(thread::JoinHandle<()>, Weak<TcpStream>)>,
+}
+
+/// One reply slot of a connection, in answer order.
 enum PendingReply {
     /// Already-formatted bytes (PONG, STATS, ERR, REJECTED, BYE).
     Ready(String),
-    /// A submitted batch still solving; formatted when the ticket
-    /// resolves. Order in the queue is answer order on the wire.
+    /// A submitted batch; formatted when the ticket resolves.
     Batch(Ticket),
 }
 
-/// One multiplexed client connection.
-struct Connection {
-    stream: TcpStream,
-    /// Raw bytes read but not yet split at a newline.
-    inbuf: Vec<u8>,
-    /// Complete lines not yet consumed by a request block.
+/// A connection's input: the line still arriving, and complete lines not
+/// yet consumed by a request block.
+#[derive(Default)]
+struct LineBuffer {
+    /// Bytes after the last `\n` received; never holds a `\n`.
+    partial: Vec<u8>,
+    /// Complete lines, `\n` (and an optional `\r`) stripped.
     lines: VecDeque<String>,
-    /// Bytes held in `lines` (for the buffer cap).
-    line_bytes: usize,
-    /// Replies not yet written, oldest first.
-    pending: VecDeque<PendingReply>,
-    /// Formatted reply bytes not yet accepted by the socket.
-    outbuf: Vec<u8>,
-    /// Peer half-closed its write side; drain and close.
-    eof: bool,
-    /// Stop consuming input; close once replies are flushed.
-    closing: bool,
-    /// Transport failed; drop immediately.
-    dead: bool,
+    /// What `lines` costs against [`MAX_BUFFERED_BYTES`].
+    held: usize,
 }
 
-impl Connection {
-    fn new(stream: TcpStream) -> io::Result<Self> {
-        stream.set_nonblocking(true)?;
-        Ok(Connection {
-            stream,
-            inbuf: Vec::new(),
-            lines: VecDeque::new(),
-            line_bytes: 0,
-            pending: VecDeque::new(),
-            outbuf: Vec::new(),
-            eof: false,
-            closing: false,
-            dead: false,
-        })
-    }
-
-    /// `true` once the connection can be dropped from the poll set.
-    fn finished(&self) -> bool {
-        self.dead
-            || ((self.eof || self.closing) && self.pending.is_empty() && self.outbuf.is_empty())
-    }
-
-    /// One poll tick: read, frame, submit, flush. Returns `true` if any
-    /// bytes moved (the poller's idle detector).
-    fn tick(&mut self, service: &Service) -> bool {
-        let mut activity = false;
-        if !self.dead && !self.eof && !self.closing {
-            activity |= self.read_input();
-        }
-        self.split_lines();
-        if !self.dead && !self.closing {
-            activity |= self.process_blocks(service);
-        }
-        activity |= self.flush_ready();
-        activity |= self.write_output();
-        activity
-    }
-
-    /// Drains whatever the socket has into `inbuf` without ever blocking.
-    fn read_input(&mut self) -> bool {
-        let mut moved = false;
-        let mut buf = [0u8; 4096];
-        loop {
-            match self.stream.read(&mut buf) {
-                Ok(0) => {
-                    self.eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.inbuf.extend_from_slice(&buf[..n]);
-                    moved = true;
-                    if self.inbuf.len() + self.line_bytes > MAX_BUFFERED_BYTES {
-                        // A peer this far ahead of the parser is not a
-                        // grooming client; cut it loose.
-                        self.dead = true;
-                        return true;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    break;
-                }
-            }
-        }
-        moved
-    }
-
-    /// Moves complete lines (`…\n`, optional `\r` stripped) from `inbuf`
-    /// to `lines`. A trailing partial line stays buffered — that is the
-    /// whole slow-client fix: nothing is ever discarded at a read
-    /// boundary.
-    fn split_lines(&mut self) {
-        while let Some(pos) = self.inbuf.iter().position(|&b| b == b'\n') {
-            let mut line: Vec<u8> = self.inbuf.drain(..=pos).collect();
-            line.pop(); // the \n
-            if line.last() == Some(&b'\r') {
-                line.pop();
-            }
-            let line = String::from_utf8_lossy(&line).into_owned();
-            self.line_bytes += line.len();
+impl LineBuffer {
+    /// Appends one read's bytes, splits off every line they complete in one
+    /// pass, and drains the consumed prefix once. A trailing partial line
+    /// stays buffered — nothing is ever discarded at a read boundary.
+    fn push(&mut self, bytes: &[u8]) {
+        self.partial.extend_from_slice(bytes);
+        let Some(last) = bytes.iter().rposition(|&b| b == b'\n') else {
+            return;
+        };
+        let end = self.partial.len() - bytes.len() + last;
+        for line in self.partial[..end].split(|&b| b == b'\n') {
+            let line = line.strip_suffix(b"\r").unwrap_or(line);
+            let line = String::from_utf8_lossy(line).into_owned();
+            self.held += line.len() + LINE_OVERHEAD;
             self.lines.push_back(line);
         }
+        self.partial.drain(..=end);
     }
 
-    /// Carves complete request blocks off `lines` and submits them.
-    fn process_blocks(&mut self, service: &Service) -> bool {
-        let mut moved = false;
-        loop {
-            // Blank lines and comments are allowed between blocks.
-            match self.lines.front() {
-                None => break,
-                Some(l) => {
-                    let t = l.trim();
-                    if t.is_empty() || t.starts_with('#') {
-                        self.line_bytes -= l.len();
-                        self.lines.pop_front();
-                        continue;
-                    }
-                }
-            }
-            let Some(len) = block_bounds(&self.lines, service) else {
-                break; // incomplete — wait for more bytes
-            };
-            let mut block: Vec<String> = Vec::with_capacity(len);
-            for _ in 0..len {
-                let line = self.lines.pop_front().expect("bounded by lines.len()");
-                self.line_bytes -= line.len();
-                block.push(line);
-            }
-            moved = true;
-            let first = block.remove(0);
-            let mut rest = block.into_iter().map(Ok::<String, io::Error>);
-            // On a parse error the rest of the *framed* block is dropped
-            // with it, so the stream resynchronizes at the block boundary
-            // instead of misreading payload lines as new requests.
-            let reply = match protocol::parse_request(first.trim(), &mut rest, service.config()) {
-                Err(RequestError::Io(_)) => unreachable!("in-memory lines never fail"),
-                Err(RequestError::Wire(e)) => PendingReply::Ready(format!("ERR {e}\n")),
-                Ok(WireRequest::Ping) => PendingReply::Ready("PONG\n".to_string()),
-                Ok(WireRequest::Stats) => {
-                    PendingReply::Ready(protocol::format_stats(&service.stats()))
-                }
-                Ok(WireRequest::Shutdown) => {
-                    service.begin_shutdown();
-                    self.closing = true;
-                    self.pending
-                        .push_back(PendingReply::Ready("BYE\n".to_string()));
-                    break;
-                }
-                Ok(WireRequest::Batch(request)) => {
-                    let id = request.id;
-                    match service.submit(request) {
-                        Err(e) => PendingReply::Ready(protocol::format_rejected(id, &e)),
-                        Ok(ticket) => PendingReply::Batch(ticket),
-                    }
-                }
-            };
-            self.pending.push_back(reply);
-        }
-        moved
+    /// Removes the first `len` complete lines.
+    fn take(&mut self, len: usize) -> std::collections::vec_deque::Drain<'_, String> {
+        let lines = self.lines.range(..len);
+        self.held -= lines.map(|line| line.len() + LINE_OVERHEAD).sum::<usize>();
+        self.lines.drain(..len)
     }
+}
 
-    /// Moves resolved replies (in order) from `pending` into `outbuf`. A
-    /// ready reply behind an unresolved batch waits — answer order is
-    /// submission order.
-    fn flush_ready(&mut self) -> bool {
-        let mut moved = false;
-        loop {
-            let text = match self.pending.front() {
-                None => break,
-                Some(PendingReply::Ready(_)) => {
-                    let Some(PendingReply::Ready(s)) = self.pending.pop_front() else {
-                        unreachable!("front was Ready");
-                    };
-                    s
-                }
-                Some(PendingReply::Batch(ticket)) => match ticket.poll() {
-                    None => break,
-                    Some(response) => {
-                        self.pending.pop_front();
-                        protocol::format_batch_response(&response)
-                    }
-                },
-            };
-            self.outbuf.extend_from_slice(text.as_bytes());
-            moved = true;
+/// One connection: starts its writer, then reads on this thread until end
+/// of input (the peer's, or the shutdown watcher's), a transport error,
+/// an over-cap buffer, or the service's shutdown. Returns once every reply
+/// has been written.
+fn serve_connection(stream: &Arc<TcpStream>, service: &Service) {
+    // Each reply goes out in one write once resolved; Nagle would only
+    // hold a pipelined one back.
+    let _ = stream.set_nodelay(true);
+    let (replies, slots) = mpsc::channel();
+    let writer = {
+        let stream = Arc::clone(stream);
+        thread::Builder::new()
+            .name("groomd-writer".into())
+            .spawn(move || write_replies(&stream, slots))
+    };
+    let writer = match writer {
+        Ok(writer) => writer,
+        Err(e) => {
+            eprintln!("groomd: cannot start a connection's writer: {e}");
+            return;
         }
-        moved
+    };
+    let mut input = LineBuffer::default();
+    let mut buf = [0u8; 16 << 10];
+    loop {
+        match (&**stream).read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => input.push(&buf[..n]),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => break,
+        }
+        if !submit_blocks(&mut input, service, &replies) {
+            break;
+        }
+        if input.partial.len() + input.held > MAX_BUFFERED_BYTES {
+            // A peer this far ahead of the parser is not a grooming
+            // client; cut it loose.
+            let _ = stream.shutdown(Shutdown::Both);
+            break;
+        }
     }
+    drop(replies);
+    // A writer panic has already been reported by the panic hook.
+    let _ = writer.join();
+}
 
-    /// Writes as much of `outbuf` as the socket accepts right now.
-    fn write_output(&mut self) -> bool {
-        let mut written = 0;
-        while written < self.outbuf.len() {
-            match self.stream.write(&self.outbuf[written..]) {
-                Ok(0) => {
-                    self.dead = true;
-                    break;
-                }
-                Ok(n) => written += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    break;
+/// Carves every complete request block off `input` and answers or submits
+/// it. Returns `false` once the connection should stop reading: when the
+/// service's shutdown has begun (input is no longer consumed), or when its
+/// writer has gone.
+fn submit_blocks(
+    input: &mut LineBuffer,
+    service: &Service,
+    replies: &mpsc::Sender<PendingReply>,
+) -> bool {
+    while let Some(first) = input.lines.front() {
+        if service.is_shutting_down() {
+            return false;
+        }
+        // Blank lines and comments are allowed between blocks.
+        let t = first.trim();
+        if t.is_empty() || t.starts_with('#') {
+            input.take(1);
+            continue;
+        }
+        let Some(len) = block_bounds(&input.lines, service) else {
+            break; // incomplete — wait for more bytes
+        };
+        let mut block = input.take(len);
+        let first = block.next().expect("a block spans at least one line");
+        let mut rest = block.map(Ok::<String, io::Error>);
+        // On a parse error the rest of the *framed* block is dropped with
+        // it, so the stream resynchronizes at the block boundary instead
+        // of misreading payload lines as new requests.
+        let reply = match protocol::parse_request(first.trim(), &mut rest, service.config()) {
+            Err(RequestError::Io(_)) => unreachable!("in-memory lines never fail"),
+            Err(RequestError::Wire(e)) => PendingReply::Ready(format!("ERR {e}\n")),
+            Ok(WireRequest::Ping) => PendingReply::Ready("PONG\n".to_string()),
+            Ok(WireRequest::Stats) => PendingReply::Ready(protocol::format_stats(&service.stats())),
+            Ok(WireRequest::Shutdown) => {
+                service.begin_shutdown();
+                PendingReply::Ready("BYE\n".to_string())
+            }
+            Ok(WireRequest::Batch(request)) => {
+                let id = request.id;
+                match service.submit(request) {
+                    Err(e) => PendingReply::Ready(protocol::format_rejected(id, &e)),
+                    Ok(ticket) => PendingReply::Batch(ticket),
                 }
             }
+        };
+        if replies.send(reply).is_err() {
+            return false;
         }
-        self.outbuf.drain(..written);
-        written > 0
+    }
+    true
+}
+
+/// The writer: answers slots in the order the reader sent them, waiting on
+/// each batch's ticket in turn, until the reader is done.
+fn write_replies(mut stream: &TcpStream, slots: mpsc::Receiver<PendingReply>) {
+    for slot in slots {
+        let text = match slot {
+            PendingReply::Ready(text) => text,
+            PendingReply::Batch(ticket) => protocol::format_batch_response(&ticket.wait()),
+        };
+        if stream.write_all(text.as_bytes()).is_err() {
+            // The peer is gone: wake the reader too.
+            let _ = stream.shutdown(Shutdown::Both);
+            return;
+        }
     }
 }
 
@@ -494,70 +455,93 @@ fn accept_error_is_transient(kind: io::ErrorKind) -> bool {
     )
 }
 
-/// The event loop: accept, tick every connection, reap, sleep when idle.
-fn poller_loop(listener: &TcpListener, service: &Service) {
-    let mut conns: Vec<Connection> = Vec::new();
+/// The acceptor: starts a thread per connection until shutdown begins.
+fn accept_loop(listener: &TcpListener, service: &Service, live: &Mutex<Live>) {
     let mut fatal_streak = 0u32;
-    let mut accepting = true;
     loop {
-        let mut activity = false;
-        if service.is_shutting_down() {
-            accepting = false;
-            for conn in &mut conns {
-                conn.closing = true;
+        let stream = match listener.accept() {
+            Ok((stream, _peer)) => Arc::new(stream),
+            Err(e) if accept_error_is_transient(e.kind()) => {
+                // The handshake died, not the listener: note it and keep
+                // serving.
+                eprintln!("groomd: transient accept error: {e}");
+                continue;
             }
-        }
-        while accepting {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    fatal_streak = 0;
-                    match Connection::new(stream) {
-                        Ok(conn) => {
-                            conns.push(conn);
-                            activity = true;
-                        }
-                        Err(e) => eprintln!("groomd: failed to set up connection: {e}"),
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if accept_error_is_transient(e.kind()) => {
-                    // The handshake died, not the listener: note it and
-                    // keep serving.
-                    eprintln!("groomd: transient accept error: {e}");
-                }
-                Err(e) => {
-                    fatal_streak += 1;
-                    eprintln!("groomd: accept error ({fatal_streak}/{MAX_FATAL_ACCEPTS}): {e}");
-                    if fatal_streak >= MAX_FATAL_ACCEPTS {
-                        // The listener is wedged (EMFILE and friends).
-                        // Refusing silently forever helps nobody; drain
-                        // and stop cleanly instead.
-                        eprintln!("groomd: listener wedged; beginning shutdown");
-                        service.begin_shutdown();
-                        accepting = false;
-                    }
+            Err(e) => {
+                fatal_streak += 1;
+                eprintln!("groomd: accept error ({fatal_streak}/{MAX_FATAL_ACCEPTS}): {e}");
+                if fatal_streak >= MAX_FATAL_ACCEPTS {
+                    // The listener is wedged (EMFILE and friends).
+                    // Refusing silently forever helps nobody; drain and
+                    // stop cleanly instead.
+                    eprintln!("groomd: listener wedged; beginning shutdown");
+                    service.begin_shutdown();
                     break;
                 }
+                continue;
+            }
+        };
+        fatal_streak = 0;
+        // Spawning under the lock the watcher sweeps with: every
+        // connection started here is stopped at shutdown.
+        let mut live = live.lock().unwrap();
+        if live.closed {
+            break; // the watcher's wake-up
+        }
+        live.conns.retain(|(conn, _)| !conn.is_finished());
+        let conn = {
+            let (stream, service) = (Arc::clone(&stream), service.clone());
+            thread::Builder::new()
+                .name("groomd-conn".into())
+                .spawn(move || serve_connection(&stream, &service))
+        };
+        match conn {
+            Ok(conn) => live.conns.push((conn, Arc::downgrade(&stream))),
+            Err(e) => eprintln!("groomd: cannot start a connection thread: {e}"),
+        }
+    }
+}
+
+/// The shutdown watcher: parks until shutdown begins, then ends every
+/// connection's input and wakes the acceptor.
+fn watch_shutdown(service: &Service, live: &Mutex<Live>, mut addr: SocketAddr) {
+    service.wait_for_shutdown();
+    {
+        let mut live = live.lock().unwrap();
+        live.closed = true;
+        for (_, stream) in &live.conns {
+            // The reader's blocked read returns end of input; the write
+            // half stays open for the drain.
+            if let Some(stream) = stream.upgrade() {
+                let _ = stream.shutdown(Shutdown::Read);
             }
         }
-        for conn in &mut conns {
-            activity |= conn.tick(service);
-        }
-        conns.retain(|c| !c.finished());
-        if !accepting && conns.is_empty() {
-            break;
-        }
-        if !activity {
-            thread::sleep(IDLE_SLEEP);
-        }
+    }
+    // Not every platform routes a connect to the unspecified address.
+    if addr.ip().is_unspecified() {
+        addr.set_ip(if addr.is_ipv4() {
+            Ipv4Addr::LOCALHOST.into()
+        } else {
+            Ipv6Addr::LOCALHOST.into()
+        });
+    }
+    // The acceptor takes this connection, finds `closed` set, and stops.
+    if let Err(e) = TcpStream::connect(addr) {
+        eprintln!("groomd: cannot wake the acceptor at {addr}: {e}");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::ServiceConfig;
+    use crate::client::{Client, RequestOptions};
+    use crate::service::{Request, ServiceConfig};
+    use grooming::algorithm::Algorithm;
+    use grooming::solve::Instance;
+    use grooming_sonet::demand::DemandSet;
+    use rand::{rngs::StdRng, SeedableRng};
     use std::io::{BufRead, BufReader};
+    use std::time::Duration;
 
     fn connect(addr: SocketAddr) -> TcpStream {
         let stream = TcpStream::connect(addr).expect("connect to groomd");
@@ -776,6 +760,96 @@ mod tests {
         // The dead half-block admitted nothing.
         let snapshot = service.stats();
         assert_eq!(snapshot.counters.accepted_requests, 1);
+
+        service.begin_shutdown();
+        server.join();
+        service.shutdown();
+    }
+
+    /// All the lines of one read split off in one pass. Draining the
+    /// buffer's front once per line made this quadratic in the burst:
+    /// minutes for these 2 MB instead of milliseconds.
+    #[test]
+    fn a_2mb_burst_splits_in_one_pass() {
+        let lines = 1 << 19;
+        let mut input = LineBuffer::default();
+        input.push("0 1\n".repeat(lines).as_bytes());
+        input.push(b"2 3");
+        assert_eq!(input.lines.len(), lines);
+        assert!(input.lines.iter().all(|l| l == "0 1"));
+        assert_eq!(input.partial, b"2 3");
+        // The partial line completes on a later read; `\r\n` ends it too.
+        input.push(b"\r\n");
+        assert_eq!(input.lines.back().map(String::as_str), Some("2 3"));
+        assert!(input.partial.is_empty());
+        assert_eq!(input.held, (lines + 1) * (3 + LINE_OVERHEAD));
+        assert_eq!(input.take(lines + 1).count(), lines + 1);
+        assert_eq!(input.held, 0);
+    }
+
+    /// A 200k-line batch written in one burst comes back exactly as the
+    /// in-process client answers it.
+    #[test]
+    fn a_200k_line_batch_matches_the_in_process_transcript() {
+        let config = ServiceConfig {
+            workers: 1,
+            master_seed: 13,
+            ..Default::default()
+        };
+        let demands = DemandSet::random(10_000, 200_000, &mut StdRng::seed_from_u64(13));
+        let algo = Algorithm::by_name("spant-euler").unwrap();
+        let request = Request {
+            id: 5,
+            items: vec![Instance::ring(demands, 16)],
+            deadline: None,
+            algo: Some(algo),
+        };
+        let wire = protocol::format_batch_request(&request).unwrap();
+        assert!(wire.lines().count() > 200_000);
+
+        let (service, server) = start_server(config.clone());
+        let mut stream = connect(server.addr());
+        let reply = roundtrip(&mut stream, &wire, 3);
+        service.begin_shutdown();
+        server.join();
+        service.shutdown();
+
+        let local = Service::start(config);
+        let options = RequestOptions::default().with_id(5).with_algo(algo);
+        let expected = Client::new(&local)
+            .solve_transcript(request.items, options)
+            .unwrap();
+        local.shutdown();
+        assert_eq!(reply, expected);
+    }
+
+    /// Blank lines count against the buffer cap: a peer streaming
+    /// newlines into an open `BATCH` (the framer waits for its declared
+    /// 4M demand lines) is dropped, and other connections are unharmed.
+    #[test]
+    fn a_blank_line_flood_inside_a_block_is_dropped_at_the_cap() {
+        let (service, server) = start_server(ServiceConfig {
+            workers: 1,
+            ..Default::default()
+        });
+        let mut flood = connect(server.addr());
+        flood
+            .write_all(b"BATCH id=1 count=1\nITEM ring k=4\ndemands v1 10 4000000\n")
+            .unwrap();
+        let chunk = vec![b'\n'; 64 << 10];
+        let mut sent = 0;
+        while sent <= MAX_BUFFERED_BYTES && flood.write_all(&chunk).is_ok() {
+            sent += chunk.len();
+        }
+        match flood.read(&mut [0u8; 1]) {
+            Ok(0) => {}
+            Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
+            other => panic!("the flooding peer was not dropped: {other:?}"),
+        }
+
+        let mut other = connect(server.addr());
+        assert_eq!(roundtrip(&mut other, "PING\n", 1), "PONG\n");
+        assert_eq!(service.stats().counters.accepted_requests, 0);
 
         service.begin_shutdown();
         server.join();
