@@ -10,49 +10,22 @@ cargo fmt --all --check
 echo "== cargo clippy (all targets, warnings are errors) =="
 cargo clippy --all-targets -- -D warnings
 
-echo "== guard: no non-test code calls deprecated wrappers =="
-# The solve surface superseded best_of / groom_with_budget / groom_network
-# / OnlineGroomer::rearrange. Their #[deprecated] definitions remain and
-# their own tests may call them; everything else goes through
-# grooming::solve. Scan every source file up to its first #[cfg(test)]
-# marker (test modules sit at the bottom) for surviving call sites,
-# skipping comment lines and the definitions themselves.
-guard_bad=0
-while IFS= read -r f; do
-  hits=$(awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f" \
-    | grep -E '(best_of|groom_with_budget|groom_network|\.rearrange)\(' \
-    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \
-    | grep -vE 'fn (best_of|groom_with_budget|groom_network|rearrange)' || true)
+echo "== guards: entry points called outside their owners =="
+# guard REGEX MESSAGE FILE...: fails if any FILE calls REGEX outside its
+# tests. Each file is scanned up to its first #[cfg(test)] marker (test
+# modules sit at the bottom), skipping comment lines.
+guard() {
+  local pattern=$1 message=$2 hits
+  shift 2
+  hits=$(awk '/#\[cfg\(test\)\]/{nextfile} {print FILENAME":"FNR": "$0}' "$@" \
+    | grep -E "$pattern" \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
   if [ -n "$hits" ]; then
     echo "$hits"
-    guard_bad=1
+    echo "error: $message"
+    exit 1
   fi
-done < <(find crates/*/src examples -name '*.rs')
-if [ "$guard_bad" -ne 0 ]; then
-  echo "error: deprecated wrapper called from non-test code (use grooming::solve)"
-  exit 1
-fi
-# The rearrange-era "react to churn with a full re-groom" pattern: solving
-# Instance::online from non-test code. The warm-start path
-# (Instance::reconfigure from OnlineGroomer::snapshot) replaced it; the
-# churn bench keeps one deliberate online-vs-offline comparison.
-guard_bad=0
-while IFS= read -r f; do
-  case "$f" in
-    crates/bench/src/bin/churn.rs) continue ;;   # the comparative study
-  esac
-  hits=$(awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f" \
-    | grep -F 'Instance::online(' \
-    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*(//|note =)' || true)
-  if [ -n "$hits" ]; then
-    echo "$hits"
-    guard_bad=1
-  fi
-done < <(find crates/*/src examples -name '*.rs')
-if [ "$guard_bad" -ne 0 ]; then
-  echo "error: full re-groom of an online snapshot outside the churn bench (warm-start with Instance::reconfigure instead)"
-  exit 1
-fi
+}
 
 # Mesh routing must go through the solve path (Instance::Mesh +
 # SolveContext): the dispatcher owns route bookkeeping (routes_evaluated,
@@ -60,45 +33,19 @@ fi
 # mesh::enforce_caps directly forfeits stats and the blocking contract.
 # Only the defining module and the solve.rs dispatcher may name them
 # outside tests.
-guard_bad=0
-while IFS= read -r f; do
-  case "$f" in
-    crates/core/src/mesh.rs) continue ;;   # the definitions
-    crates/core/src/solve.rs) continue ;;  # the dispatcher
-  esac
-  hits=$(awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f" \
-    | grep -E '(route_demands|enforce_caps)\(' \
-    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
-  if [ -n "$hits" ]; then
-    echo "$hits"
-    guard_bad=1
-  fi
-done < <(find crates/*/src examples -name '*.rs')
-if [ "$guard_bad" -ne 0 ]; then
-  echo "error: mesh routing called outside the solve path (use Instance::mesh + Solver::solve)"
-  exit 1
-fi
+guard '(route_demands|enforce_caps)\(' \
+  "mesh routing called outside the solve path (use Instance::mesh + Solver::solve)" \
+  $(find crates/*/src examples -name '*.rs' \
+    ! -path crates/core/src/mesh.rs ! -path crates/core/src/solve.rs)
 
 # groomsim is the warm path in a jar: the network starts empty and every
 # state is reached by repairing the previous one through
-# Instance::reconfigure. Cold solves (or online full re-grooms) inside
-# crates/sim would silently change what the simulator measures, so any
-# instance constructor other than reconfigure is banned there outside
-# tests.
-guard_bad=0
-while IFS= read -r f; do
-  hits=$(awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f" \
-    | grep -E 'Instance::(online|ring|upsr|mesh|blsr|multi_ring|weighted)\(' \
-    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
-  if [ -n "$hits" ]; then
-    echo "$hits"
-    guard_bad=1
-  fi
-done < <(find crates/sim/src -name '*.rs')
-if [ "$guard_bad" -ne 0 ]; then
-  echo "error: cold solve inside crates/sim (the simulator is warm-path only: Instance::reconfigure)"
-  exit 1
-fi
+# Instance::reconfigure. Cold solves inside crates/sim would silently
+# change what the simulator measures, so any instance constructor other
+# than reconfigure is banned there outside tests.
+guard 'Instance::(ring|upsr|mesh|blsr|multi_ring|weighted)\(' \
+  "cold solve inside crates/sim (the simulator is warm-path only: Instance::reconfigure)" \
+  $(find crates/sim/src -name '*.rs')
 
 echo "== cargo build --all-targets (benches, examples, tests compile) =="
 cargo build --all-targets
@@ -140,10 +87,10 @@ target/release/perf_service --fast --out /tmp/BENCH_groomd_fast.json
 
 echo "== perf smoke: million-edge scale tier (release, --fast) =="
 # Runs the three scale-tier generator families at n = 10^4 through the
-# auto-sharded construction and sparse-incidence refinement, asserts the
-# sharded-vs-unsharded and sparse-vs-dense bit-identity contracts, and
-# asserts peak RSS stays under the fast tier's documented ceiling (the
-# binary exits non-zero on a breach). The checked-in
+# SpanT_Euler construction and sparse-incidence refinement, asserts the
+# sparse-vs-dense bit-identity contract, and asserts peak RSS stays under
+# the fast tier's documented ceiling (the binary exits non-zero on a
+# breach). The checked-in
 # results/BENCH_scale.json is produced by the full run:
 # target/release/perf_scale
 target/release/perf_scale --fast --out /tmp/BENCH_scale_fast.json

@@ -8,7 +8,7 @@
 
 use grooming::algorithm::Algorithm;
 use grooming::online::OnlineGroomer;
-use grooming::solve::{Instance, Plan, SolveContext, Solver};
+use grooming::solve::{Instance, SolveContext, Solver};
 use grooming_bench::{parse_args, PAPER_N};
 use grooming_graph::spanning::TreeStrategy;
 use grooming_sonet::demand::DemandSet;
@@ -46,12 +46,9 @@ fn main() {
             }
             online_sum += groomer.sadm_count() as f64;
             let mut ctx = SolveContext::seeded(seed);
+            let snapshot = Instance::ring(groomer.demands(), groomer.grooming_factor());
             let rearranged = |algo: Algorithm, ctx: &mut SolveContext| {
-                let sol = algo.solve(&Instance::online(&groomer), ctx).unwrap();
-                let Plan::OnlineRearrange { outcome, .. } = sol.plan else {
-                    unreachable!("online instances yield rearrange plans");
-                };
-                outcome.report.sadm_total as f64
+                algo.solve(&snapshot, ctx).unwrap().plan.sadm_cost() as f64
             };
             offline_sum += rearranged(Algorithm::SpanTEuler(TreeStrategy::Bfs), &mut ctx);
             clique_sum += rearranged(Algorithm::CliqueFirst, &mut ctx);

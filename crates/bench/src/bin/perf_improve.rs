@@ -12,11 +12,11 @@
 //! Usage: `perf_improve [--fast] [--out PATH]`
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use grooming::improve::{self, reference};
 use grooming::partition::EdgePartition;
 use grooming::spant_euler::spant_euler;
+use grooming_bench::time_best;
 use grooming_graph::generators;
 use grooming_graph::graph::Graph;
 use grooming_graph::spanning::TreeStrategy;
@@ -65,21 +65,6 @@ impl StageResult {
     fn speedup(&self) -> f64 {
         self.ref_ms / self.new_ms.max(1e-9)
     }
-}
-
-/// Times `f` over `reps` repetitions and returns (best seconds, output of
-/// the last run). Every repetition must be a from-scratch run (the closure
-/// captures only immutable inputs).
-fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps {
-        let t = Instant::now();
-        let value = f();
-        best = best.min(t.elapsed().as_secs_f64());
-        out = Some(value);
-    }
-    (best * 1e3, out.expect("reps >= 1"))
 }
 
 fn run_instance(

@@ -22,6 +22,7 @@ use std::time::Instant;
 
 use grooming::algorithm::Algorithm;
 use grooming::solve::{Instance, Plan, SolveContext, Solver};
+use grooming_bench::{ms, peak_rss_mb};
 use grooming_graph::generators;
 use grooming_graph::spanning::TreeStrategy;
 use grooming_graph::topology::{NodeCaps, Topology};
@@ -148,27 +149,6 @@ fn parse_opts() -> Opts {
         }
     }
     opts
-}
-
-/// The process's peak resident set (`VmHWM`) in MiB.
-fn peak_rss_mb() -> f64 {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: f64 = rest
-                .trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse()
-                .unwrap_or(0.0);
-            return kb / 1024.0;
-        }
-    }
-    0.0
-}
-
-fn ms(t: Instant) -> f64 {
-    t.elapsed().as_secs_f64() * 1e3
 }
 
 /// The pinned metro mesh: a grid with uniform finite node capacities.

@@ -16,11 +16,10 @@
 //! Usage: `perf_pipeline [--fast] [--out PATH]`
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use grooming::partition::EdgePartition;
 use grooming::{baselines, reference, regular_euler, spant_euler};
-use grooming_bench::workload::Workload;
+use grooming_bench::{time_best, workload::Workload};
 use grooming_graph::graph::Graph;
 use grooming_graph::spanning::TreeStrategy;
 use rand::rngs::StdRng;
@@ -101,20 +100,6 @@ impl StageResult {
     fn speedup(&self) -> f64 {
         self.ref_ms / self.new_ms.max(1e-9)
     }
-}
-
-/// Times `f` over `reps` repetitions and returns (best milliseconds, output
-/// of the last run). Every repetition is a from-scratch sweep.
-fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps {
-        let t = Instant::now();
-        let value = f();
-        best = best.min(t.elapsed().as_secs_f64());
-        out = Some(value);
-    }
-    (best * 1e3, out.expect("reps >= 1"))
 }
 
 /// Sweeps every cell through `new_path` and `ref_path`, asserts the

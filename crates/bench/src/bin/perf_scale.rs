@@ -1,22 +1,21 @@
-//! Million-edge scale baseline for the sparse/sharded solve tier.
+//! Million-edge scale baseline for the sparse solve tier.
 //!
 //! Generates one instance per family — `gnm`, `power_law` (Chung–Lu), and
 //! `random_geometric` — at the scale tier's pinned sizes, runs each through
-//! generation, the (auto-sharded) `SpanT_Euler` construction, and
-//! sparse-incidence refinement, and writes per-stage wall clock plus the
-//! process peak RSS to `results/BENCH_scale.json`.
+//! generation, the `SpanT_Euler` construction, and sparse-incidence
+//! refinement, and writes per-stage wall clock plus the process peak RSS to
+//! `results/BENCH_scale.json`.
 //!
 //! Three contracts are enforced on top of the timings:
 //!
-//! * **bit-identity** — the sharded construction is checked against the
-//!   unsharded pipeline, and the forced-sparse refine against the
+//! * **bit-identity** — the forced-sparse refine is checked against the
 //!   forced-dense refine (on a comparison cell small enough for the dense
 //!   `W x n` incidence matrix to exist at all);
 //! * **memory floor** — peak RSS must stay under the tier's documented
 //!   ceiling ([`FAST_RSS_CEILING_MB`] / [`FULL_RSS_CEILING_MB`]). The full
 //!   tier (`n = 100_000`, `m ≈ 300_000`, `k = 16`) is the teeth: a dense
 //!   incidence matrix alone would need `W x n x 4 B ≈ 7.5 GB` there, so
-//!   the 1 GiB ceiling is only reachable through the sparse/sharded path;
+//!   the 1 GiB ceiling is only reachable through the sparse path;
 //! * **smoke** — `ci.sh` runs `--fast` (`n = 10_000`) on every gate.
 //!
 //! The tier above — `--huge`, `n = 1_000_000`, `m ≈ 3_000_000` — is the
@@ -31,7 +30,8 @@ use std::time::Instant;
 
 use grooming::algorithm::Algorithm;
 use grooming::improve;
-use grooming::solve::{Instance, ShardMode, SolveConfig, SolveContext, Solver};
+use grooming::solve::{Instance, SolveContext, Solver};
+use grooming_bench::{ms, peak_rss_mb};
 use grooming_graph::generators;
 use grooming_graph::graph::Graph;
 use grooming_graph::spanning::TreeStrategy;
@@ -121,29 +121,6 @@ fn parse_opts() -> Opts {
     opts
 }
 
-/// The process's peak resident set (`VmHWM`) in MiB — monotone over the
-/// process lifetime, so reading it once at the end captures the hungriest
-/// stage.
-fn peak_rss_mb() -> f64 {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: f64 = rest
-                .trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse()
-                .unwrap_or(0.0);
-            return kb / 1024.0;
-        }
-    }
-    0.0
-}
-
-fn ms(t: Instant) -> f64 {
-    t.elapsed().as_secs_f64() * 1e3
-}
-
 struct FamilyResult {
     family: &'static str,
     n: usize,
@@ -157,7 +134,7 @@ struct FamilyResult {
     wavelengths: usize,
 }
 
-/// Generates, constructs (auto-sharded solve surface), and refines one
+/// Generates, constructs (through the solve surface), and refines one
 /// family instance, timing each stage.
 fn run_family(
     family: &'static str,
@@ -206,34 +183,6 @@ fn run_family(
         cost_refined,
         wavelengths: refined.num_wavelengths(),
     }
-}
-
-/// Asserts the sharded and unsharded constructions agree bit-for-bit on a
-/// fragmented mid-size instance, returning both timings.
-fn sharding_identity(n: usize, m: usize, k: usize) -> (f64, f64) {
-    let g = generators::gnm(n, m, &mut StdRng::seed_from_u64(3));
-    let mut times = [0.0f64; 2];
-    let mut parts = Vec::new();
-    for (i, shard) in [ShardMode::Always, ShardMode::Never]
-        .into_iter()
-        .enumerate()
-    {
-        let mut config = SolveConfig::default();
-        config.shard = shard;
-        let mut ctx = SolveContext::seeded(11).with_config(config);
-        let t = Instant::now();
-        let sol = Algorithm::SpanTEuler(TreeStrategy::Bfs)
-            .solve(&Instance::upsr(g.clone(), k), &mut ctx)
-            .expect("UPSR solves are total");
-        times[i] = ms(t);
-        parts.push(sol.plan.partition().expect("UPSR plan").clone());
-    }
-    assert_eq!(
-        parts[0].parts(),
-        parts[1].parts(),
-        "sharded construction diverged from unsharded (n={n}, m={m}, k={k})"
-    );
-    (times[0], times[1])
 }
 
 /// Asserts forced-sparse and forced-dense refinement agree bit-for-bit on
@@ -286,12 +235,8 @@ fn main() {
         );
     }
 
-    // Identity cells: fixed mid-size instances regardless of tier, so the
-    // contracts run (and the dense matrix fits) even in --fast.
-    let (shard_always_ms, shard_never_ms) = sharding_identity(20_000, 60_000, k);
-    println!(
-        "  sharding identity ok (always {shard_always_ms:.1} ms, never {shard_never_ms:.1} ms)"
-    );
+    // Identity cell: a fixed mid-size instance regardless of tier, so the
+    // contract runs (and the dense matrix fits) even in --fast.
     let (sparse_ms, dense_ms) = incidence_identity(4_096, 40_960, k);
     println!("  incidence identity ok (sparse {sparse_ms:.1} ms, dense {dense_ms:.1} ms)");
 
@@ -326,9 +271,7 @@ fn main() {
     }
     let _ = write!(
         json,
-        "  ],\n  \"sharding_identity\": {{\"n\": 20000, \"m\": 60000, \
-         \"always_ms\": {shard_always_ms:.1}, \"never_ms\": {shard_never_ms:.1}, \"identical\": true}},\n  \
-         \"incidence_identity\": {{\"n\": 4096, \"m\": 40960, \
+        "  ],\n  \"incidence_identity\": {{\"n\": 4096, \"m\": 40960, \
          \"sparse_ms\": {sparse_ms:.1}, \"dense_ms\": {dense_ms:.1}, \"identical\": true}},\n  \
          \"peak_rss_mb\": {peak_mb:.1},\n  \"rss_ceiling_mb\": {ceiling:.0}\n}}\n"
     );
@@ -341,7 +284,7 @@ fn main() {
     assert!(
         peak_mb < ceiling,
         "peak RSS {peak_mb:.1} MiB breached the {} tier's documented \
-         ceiling of {ceiling:.0} MiB — the sparse/sharded path regressed",
+         ceiling of {ceiling:.0} MiB — the sparse path regressed",
         tier.name()
     );
 }

@@ -22,6 +22,7 @@ use std::fmt::Write as _;
 use std::net::TcpListener;
 use std::time::Instant;
 
+use grooming_bench::peak_rss_mb;
 use grooming_service::{tcp, Service, ServiceConfig};
 use grooming_sim::{
     assert_soak_matches, blocking_point, run, run_recording, run_with_streams, Scenario,
@@ -132,23 +133,6 @@ fn parse_opts() -> Opts {
         }
     }
     opts
-}
-
-/// The process's peak resident set (`VmHWM`) in MiB.
-fn peak_rss_mb() -> f64 {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: f64 = rest
-                .trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse()
-                .unwrap_or(0.0);
-            return kb / 1024.0;
-        }
-    }
-    0.0
 }
 
 /// One sweep cell's scenario at unit offered load (the sweep rescales).

@@ -8,10 +8,14 @@
 //!   seed per task, per-attempt RNG streams derived from a master seed so
 //!   results are bit-identical at any `--jobs` count);
 //! * [`table`] — fixed-width table printing shared by all binaries;
-//! * [`workload`] — the paper's instance generators with their parameters.
+//! * [`workload`] — the paper's instance generators with their parameters;
+//! * [`peak_rss_mb`], [`ms`] and [`time_best`] — the `perf_*` binaries'
+//!   memory and wall-clock readings.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+use std::time::Instant;
 
 pub mod plot;
 pub mod sweep;
@@ -26,6 +30,45 @@ pub const PAPER_N: usize = 36;
 
 /// The grooming factors swept in the figures (the paper's x axis).
 pub const K_VALUES: [usize; 11] = [2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64];
+
+/// The process's peak resident set (`VmHWM`) in MiB — monotone over the
+/// process lifetime, so reading it once at the end captures the hungriest
+/// stage.
+pub fn peak_rss_mb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    for line in status.lines() {
+        if let Some(rest) = line.strip_prefix("VmHWM:") {
+            let kb: f64 = rest
+                .trim()
+                .trim_end_matches("kB")
+                .trim()
+                .parse()
+                .unwrap_or(0.0);
+            return kb / 1024.0;
+        }
+    }
+    0.0
+}
+
+/// Milliseconds elapsed since `t`.
+pub fn ms(t: Instant) -> f64 {
+    t.elapsed().as_secs_f64() * 1e3
+}
+
+/// Times `f` over `reps` repetitions and returns (best milliseconds, output
+/// of the last run). Every repetition must be a from-scratch run (the
+/// closure captures only immutable inputs).
+pub fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut best = f64::INFINITY;
+    let mut out = None;
+    for _ in 0..reps {
+        let t = Instant::now();
+        let value = f();
+        best = best.min(t.elapsed().as_secs_f64());
+        out = Some(value);
+    }
+    (best * 1e3, out.expect("reps >= 1"))
+}
 
 /// Parses `--seeds N`, `--fast`, `--jobs N`, `--master-seed S` and
 /// `--svg DIR` from argv; `--fast` caps seeds at 5 and thins the `k`

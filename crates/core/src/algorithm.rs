@@ -36,8 +36,8 @@ pub enum Algorithm {
     /// ([`crate::improve::dense_first`]): maximal cliques up to the
     /// grooming capacity, not just triangles.
     DenseFirst,
-    /// The portfolio meta-algorithm ([`crate::portfolio::best_of`]): run
-    /// every general-purpose algorithm and keep the cheapest plan.
+    /// The portfolio meta-algorithm ([`crate::portfolio::PortfolioEngine`]):
+    /// run every general-purpose algorithm and keep the cheapest plan.
     Portfolio,
 }
 
@@ -189,11 +189,11 @@ impl Algorithm {
             Algorithm::Brauner => baselines::brauner_in(g, k, ws),
             Algorithm::WangGuIcc06 => baselines::wang_gu_icc06_in(g, k, rng, ws),
             Algorithm::SpanTEuler(strategy) => {
-                spant_euler_dispatch(g, k, *strategy, rng, ws, config)
+                spant_euler::spant_euler_in(g, k, *strategy, rng, ws)
             }
             Algorithm::RegularEuler => regular_euler::regular_euler_in(g, k, ws)?,
             Algorithm::SpanTEulerRefined(strategy) => {
-                let base = spant_euler_dispatch(g, k, *strategy, rng, ws, config);
+                let base = spant_euler::spant_euler_in(g, k, *strategy, rng, ws);
                 let (refined, swaps) =
                     crate::improve::refine_with_stats(g, k, &base, config.refine_rounds);
                 stats.swaps_evaluated += swaps;
@@ -202,8 +202,8 @@ impl Algorithm {
             Algorithm::CliqueFirst => crate::improve::clique_first(g, k, rng),
             Algorithm::DenseFirst => crate::improve::dense_first(g, k, rng),
             Algorithm::Portfolio => {
-                // Draw the master with one `next_u64` — the same stream
-                // consumption as the historical `best_of` front door.
+                // Draw the master with one `next_u64`, as
+                // `PortfolioSolver` does without an explicit master seed.
                 let master = rng.next_u64();
                 let result =
                     crate::portfolio::PortfolioEngine::new(&crate::portfolio::DEFAULT_PORTFOLIO)
@@ -215,26 +215,6 @@ impl Algorithm {
                 result.partition
             }
         })
-    }
-}
-
-/// Routes a `SpanT_Euler` construction through the component-sharded or
-/// unsharded pipeline per the config's [`ShardMode`](crate::solve::ShardMode).
-/// Results are identical either way (see
-/// [`spant_euler::spant_euler_sharded_detailed_in`]); the mode only picks
-/// the memory-locality strategy.
-fn spant_euler_dispatch<R: Rng>(
-    g: &Graph,
-    k: usize,
-    strategy: TreeStrategy,
-    rng: &mut R,
-    ws: &mut Workspace,
-    config: &SolveConfig,
-) -> EdgePartition {
-    if config.shard.shards(g.num_edges()) {
-        spant_euler::spant_euler_sharded_in(g, k, strategy, rng, ws)
-    } else {
-        spant_euler::spant_euler_in(g, k, strategy, rng, ws)
     }
 }
 

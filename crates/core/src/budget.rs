@@ -6,53 +6,22 @@
 //! *merging* two wavelengths never increases the SADM count
 //! (`|V_A ∪ V_B| ≤ |V_A| + |V_B|`) but is blocked when `|E_A| + |E_B| > k`,
 //! so SADM-optimal groomings may hold parts underfull and exceed `⌈m/k⌉`
-//! wavelengths. This module resolves the tension operationally: run any
-//! algorithm, then drive the wavelength count down to a budget `B` with
+//! wavelengths. This module resolves the tension operationally: an
+//! [`Instance::Budgeted`](crate::solve::Instance::Budgeted) solve runs any
+//! algorithm, then drives the wavelength count down to a budget `B` with
 //! cheapest-first merges, falling back to a rebalancing pass (and finally
 //! to a minimum-wavelength algorithm) when merging alone cannot reach `B`.
 
 use grooming_graph::graph::Graph;
-use grooming_graph::spanning::TreeStrategy;
-use rand::Rng;
 
-use crate::algorithm::Algorithm;
 use crate::partition::EdgePartition;
-use crate::regular_euler::NotRegularError;
-use crate::spant_euler::spant_euler;
-
-/// Why a budgeted grooming failed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BudgetError {
-    /// `B < ⌈m/k⌉`: no valid partition can fit the budget.
-    Infeasible {
-        /// The requested budget.
-        budget: usize,
-        /// The minimum possible wavelength count.
-        minimum: usize,
-    },
-    /// The underlying algorithm rejected the instance.
-    Algorithm(NotRegularError),
-}
-
-impl std::fmt::Display for BudgetError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BudgetError::Infeasible { budget, minimum } => write!(
-                f,
-                "budget of {budget} wavelengths below the minimum {minimum}"
-            ),
-            BudgetError::Algorithm(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for BudgetError {}
 
 /// Reduces the wavelength count of `partition` to at most `budget` without
 /// ever increasing the SADM cost, when possible by merges alone; otherwise
 /// rebalances edges out of the smallest parts (which may cost SADMs).
 ///
-/// Precondition: `budget ≥ ⌈m/k⌉` (checked by [`groom_with_budget`]; this
+/// Precondition: `budget ≥ ⌈m/k⌉` (checked by
+/// [`Instance::Budgeted`](crate::solve::Instance::Budgeted) solves; this
 /// helper panics if merging+rebalancing cannot reach the budget, which
 /// cannot happen when the precondition holds).
 pub fn enforce_budget(
@@ -118,65 +87,14 @@ pub fn enforce_budget(
     out
 }
 
-/// Grooms `g` with `algorithm`, then enforces a wavelength budget.
-///
-/// ```
-/// use grooming::algorithm::Algorithm;
-/// use grooming::budget::groom_with_budget;
-/// use grooming_graph::generators;
-/// use rand::SeedableRng;
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let g = generators::gnm(16, 40, &mut rng);
-/// // CliqueFirst may exceed the minimum ⌈40/8⌉ = 5 wavelengths; the
-/// // budget layer merges it back down.
-/// let p = groom_with_budget(&g, 8, 5, Algorithm::CliqueFirst, &mut rng).unwrap();
-/// assert!(p.num_wavelengths() <= 5);
-/// assert!(groom_with_budget(&g, 8, 4, Algorithm::CliqueFirst, &mut rng).is_err());
-/// ```
-#[deprecated(
-    since = "0.5.0",
-    note = "solve `Instance::budgeted(graph, k, budget)` through `solve::Solver` instead"
-)]
-pub fn groom_with_budget<R: Rng>(
-    g: &Graph,
-    k: usize,
-    budget: usize,
-    algorithm: Algorithm,
-    rng: &mut R,
-) -> Result<EdgePartition, BudgetError> {
-    let minimum = EdgePartition::min_wavelengths(g.num_edges(), k);
-    if budget < minimum {
-        return Err(BudgetError::Infeasible { budget, minimum });
-    }
-    let base = match algorithm.run(g, k, rng) {
-        Ok(p) => p,
-        Err(e) => {
-            // Regular_Euler on an irregular instance: surface the error
-            // unless a generic fallback is acceptable — it is not; the
-            // caller chose the algorithm deliberately.
-            return Err(BudgetError::Algorithm(e));
-        }
-    };
-    let bounded = if base.num_wavelengths() <= budget {
-        base
-    } else {
-        enforce_budget(g, k, &base, budget)
-    };
-    // Paranoia fallback: the enforcement is total for feasible budgets,
-    // but keep the guaranteed-minimum algorithm as a safety net.
-    if bounded.num_wavelengths() > budget {
-        return Ok(spant_euler(g, k, TreeStrategy::Bfs, rng));
-    }
-    Ok(bounded)
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::algorithm::Algorithm;
     use crate::bounds;
+    use crate::solve::{Instance, SolveContext, SolveError, Solver};
     use grooming_graph::generators;
+    use grooming_graph::spanning::TreeStrategy;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -184,13 +102,26 @@ mod tests {
         StdRng::seed_from_u64(seed)
     }
 
+    /// Solves `Instance::budgeted` with `algorithm` on the RNG stream `seed`.
+    fn budgeted(
+        g: &Graph,
+        k: usize,
+        budget: usize,
+        algorithm: Algorithm,
+        seed: u64,
+    ) -> Result<EdgePartition, SolveError> {
+        let instance = Instance::budgeted(g.clone(), k, budget);
+        let sol = algorithm.solve(&instance, &mut SolveContext::seeded(seed))?;
+        Ok(sol.plan.partition().expect("budgeted plan").clone())
+    }
+
     #[test]
     fn infeasible_budget_is_an_error() {
         let g = generators::gnm(10, 20, &mut rng(1));
-        let err = groom_with_budget(&g, 4, 4, Algorithm::Brauner, &mut rng(1)).unwrap_err();
+        let err = budgeted(&g, 4, 4, Algorithm::Brauner, 1).unwrap_err();
         assert_eq!(
             err,
-            BudgetError::Infeasible {
+            SolveError::InfeasibleBudget {
                 budget: 4,
                 minimum: 5
             }
@@ -208,7 +139,7 @@ mod tests {
                     Algorithm::CliqueFirst,
                     Algorithm::SpanTEuler(TreeStrategy::Bfs),
                 ] {
-                    let p = groom_with_budget(&g, k, min_w, algo, &mut rng(seed + 9)).unwrap();
+                    let p = budgeted(&g, k, min_w, algo, seed + 9).unwrap();
                     p.validate(&g, k).unwrap();
                     assert!(p.num_wavelengths() <= min_w, "{algo} k={k}");
                     assert!(p.sadm_cost(&g) >= bounds::lower_bound(&g, k));
@@ -220,18 +151,9 @@ mod tests {
     #[test]
     fn generous_budget_keeps_the_algorithms_output() {
         let g = generators::gnm(14, 30, &mut rng(2));
-        let mut r1 = rng(3);
-        let mut r2 = rng(3);
-        let base = Algorithm::CliqueFirst.run(&g, 4, &mut r1).unwrap();
-        let budgeted = groom_with_budget(
-            &g,
-            4,
-            base.num_wavelengths(),
-            Algorithm::CliqueFirst,
-            &mut r2,
-        )
-        .unwrap();
-        assert_eq!(budgeted.sadm_cost(&g), base.sadm_cost(&g));
+        let base = Algorithm::CliqueFirst.run(&g, 4, &mut rng(3)).unwrap();
+        let bounded = budgeted(&g, 4, base.num_wavelengths(), Algorithm::CliqueFirst, 3).unwrap();
+        assert_eq!(bounded.sadm_cost(&g), base.sadm_cost(&g));
     }
 
     #[test]
@@ -253,7 +175,7 @@ mod tests {
         let min_w = EdgePartition::min_wavelengths(g.num_edges(), k); // 6
         let mut costs = Vec::new();
         for budget in [min_w, min_w + 2, min_w + 4] {
-            let p = groom_with_budget(&g, k, budget, Algorithm::CliqueFirst, &mut rng(6)).unwrap();
+            let p = budgeted(&g, k, budget, Algorithm::CliqueFirst, 6).unwrap();
             p.validate(&g, k).unwrap();
             assert!(p.num_wavelengths() <= budget);
             costs.push(p.sadm_cost(&g));
@@ -265,7 +187,7 @@ mod tests {
     #[test]
     fn algorithm_errors_propagate() {
         let g = generators::star(5);
-        let err = groom_with_budget(&g, 4, 10, Algorithm::RegularEuler, &mut rng(7));
-        assert!(matches!(err, Err(BudgetError::Algorithm(_))));
+        let err = budgeted(&g, 4, 10, Algorithm::RegularEuler, 7);
+        assert!(matches!(err, Err(SolveError::NotRegular(_))));
     }
 }

@@ -340,27 +340,21 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn budgeted_exact_lower_bounds_the_heuristic_budget_layer() {
-        use crate::budget::groom_with_budget;
+        use crate::solve::{Instance, SolveContext, Solver};
         use grooming_graph::spanning::TreeStrategy;
         for seed in 0..4u64 {
-            let mut r = StdRng::seed_from_u64(seed);
-            let g = generators::gnm(8, 12, &mut r);
+            let mut ctx = SolveContext::seeded(seed);
+            let g = generators::gnm(8, 12, ctx.rng_mut());
             for budget in [3usize, 4, 6] {
                 if budget < 12usize.div_ceil(4) {
                     continue;
                 }
                 let opt = exact_minimum_with_budget(&g, 4, budget).unwrap();
-                let heur = groom_with_budget(
-                    &g,
-                    4,
-                    budget,
-                    crate::algorithm::Algorithm::SpanTEuler(TreeStrategy::Bfs),
-                    &mut r,
-                )
-                .unwrap();
-                assert!(heur.sadm_cost(&g) >= opt, "seed {seed} budget {budget}");
+                let heur = crate::algorithm::Algorithm::SpanTEuler(TreeStrategy::Bfs)
+                    .solve(&Instance::budgeted(g.clone(), 4, budget), &mut ctx)
+                    .unwrap();
+                assert!(heur.plan.sadm_cost() >= opt, "seed {seed} budget {budget}");
             }
         }
     }

@@ -39,8 +39,9 @@
 //!   on the simulated ring (via the `grooming-sonet` crate);
 //! * [`network`] — multi-ring deployments: route through gateways, groom
 //!   each ring with the paper's algorithms, aggregate;
-//! * [`online`] — dynamic traffic: demands provisioned one at a time
-//!   without rearrangement, with a rearrangement-window comparison;
+//! * [`online`] — dynamic traffic: demands provisioned and withdrawn one
+//!   at a time without rearrangement, snapshotted as the prior plan of a
+//!   warm-start solve;
 //! * [`analysis`] — planner-facing partition analytics (histograms, hot
 //!   nodes, optimality gap);
 //! * [`solve`] — the context/solver layer: every workload above

@@ -3,44 +3,15 @@
 //! A multi-ring network decomposes every demand into intra-ring segments
 //! ([`grooming_sonet::multiring`]); each ring's segment set is then exactly
 //! the paper's single-ring problem, groomed independently with any of this
-//! crate's algorithms. The report aggregates SADMs and wavelengths across
-//! rings — plus the *gateway ADM overhead*, the extra add/drops created by
-//! splitting demands at gateway offices.
+//! crate's algorithms by an
+//! [`Instance::MultiRing`](crate::solve::Instance::MultiRing) solve. The
+//! report aggregates SADMs and wavelengths across rings — plus the *gateway
+//! ADM overhead*, the extra add/drops created by splitting demands at
+//! gateway offices.
 
-use grooming_sonet::multiring::{MultiRingNetwork, RingNode, RouteError};
 use grooming_sonet::stats::RingCostReport;
-use rand::Rng;
 
-use crate::algorithm::Algorithm;
-use crate::pipeline::{groom, GroomingOutcome};
-use crate::regular_euler::NotRegularError;
-
-/// Why a network grooming failed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum NetworkError {
-    /// A demand could not be routed.
-    Route(RouteError),
-    /// A ring's grooming algorithm rejected its segment set.
-    Algorithm {
-        /// The ring that failed.
-        ring: usize,
-        /// The underlying error.
-        source: NotRegularError,
-    },
-}
-
-impl std::fmt::Display for NetworkError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            NetworkError::Route(e) => write!(f, "routing: {e}"),
-            NetworkError::Algorithm { ring, source } => {
-                write!(f, "ring {ring}: {source}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for NetworkError {}
+use crate::pipeline::GroomingOutcome;
 
 /// The network-wide grooming result.
 #[derive(Clone, Debug)]
@@ -63,45 +34,34 @@ impl NetworkGrooming {
     }
 }
 
-/// Grooms a multi-ring network: route demands into segments, groom every
-/// ring with `algorithm` at grooming factor `k`, aggregate.
-#[deprecated(
-    since = "0.5.0",
-    note = "solve `Instance::multi_ring(network, demands, k)` through `solve::Solver` instead"
-)]
-pub fn groom_network<R: Rng>(
-    net: &MultiRingNetwork,
-    demands: &[(RingNode, RingNode)],
-    k: usize,
-    algorithm: Algorithm,
-    rng: &mut R,
-) -> Result<NetworkGrooming, NetworkError> {
-    let per_ring = net.route_all(demands).map_err(NetworkError::Route)?;
-    let total_segments = per_ring.iter().map(|d| d.len()).sum();
-    let mut rings = Vec::with_capacity(per_ring.len());
-    for (ring, segs) in per_ring.iter().enumerate() {
-        let outcome = groom(segs, k, algorithm, rng)
-            .map_err(|source| NetworkError::Algorithm { ring, source })?;
-        rings.push(outcome);
-    }
-    let total_sadms = rings.iter().map(|o| o.report.sadm_total).sum();
-    let total_wavelengths = rings.iter().map(|o| o.report.wavelengths).sum();
-    Ok(NetworkGrooming {
-        rings,
-        total_sadms,
-        total_wavelengths,
-        total_segments,
-    })
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::algorithm::Algorithm;
+    use crate::solve::{Instance, Plan, SolveContext, SolveError, Solver};
     use grooming_graph::spanning::TreeStrategy;
-    use grooming_sonet::multiring::rn;
+    use grooming_sonet::multiring::{rn, MultiRingNetwork, RingNode};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Solves `Instance::multi_ring` with `algorithm` on the RNG stream
+    /// `seed`.
+    fn solve_network(
+        net: &MultiRingNetwork,
+        demands: &[(RingNode, RingNode)],
+        k: usize,
+        algorithm: Algorithm,
+        seed: u64,
+    ) -> Result<NetworkGrooming, SolveError> {
+        let instance = Instance::multi_ring(net.clone(), demands.to_vec(), k);
+        match algorithm
+            .solve(&instance, &mut SolveContext::seeded(seed))?
+            .plan
+        {
+            Plan::MultiRing { grooming } => Ok(grooming),
+            _ => unreachable!("multi-ring instances yield multi-ring plans"),
+        }
+    }
 
     fn star_network() -> MultiRingNetwork {
         let mut net = MultiRingNetwork::new(vec![8, 6, 6]);
@@ -129,13 +89,12 @@ mod tests {
     fn network_grooming_aggregates_ring_reports() {
         let net = star_network();
         let demands = random_demands(&[8, 6, 6], 30, 1);
-        let mut rng = StdRng::seed_from_u64(2);
-        let out = groom_network(
+        let out = solve_network(
             &net,
             &demands,
             4,
             Algorithm::SpanTEuler(TreeStrategy::Bfs),
-            &mut rng,
+            2,
         )
         .unwrap();
         assert_eq!(out.rings.len(), 3);
@@ -155,8 +114,7 @@ mod tests {
     fn pure_intra_ring_traffic_touches_one_ring() {
         let net = star_network();
         let demands = vec![(rn(1, 1), rn(1, 4)), (rn(1, 2), rn(1, 5))];
-        let mut rng = StdRng::seed_from_u64(3);
-        let out = groom_network(&net, &demands, 16, Algorithm::Brauner, &mut rng).unwrap();
+        let out = solve_network(&net, &demands, 16, Algorithm::Brauner, 3).unwrap();
         assert_eq!(out.rings[0].report.sadm_total, 0);
         assert_eq!(out.rings[2].report.sadm_total, 0);
         assert!(out.rings[1].report.sadm_total > 0);
@@ -166,16 +124,9 @@ mod tests {
     #[test]
     fn routing_errors_propagate() {
         let net = MultiRingNetwork::new(vec![4, 4]); // no gateways
-        let mut rng = StdRng::seed_from_u64(4);
-        let err = groom_network(
-            &net,
-            &[(rn(0, 0), rn(1, 1))],
-            4,
-            Algorithm::Brauner,
-            &mut rng,
-        )
-        .unwrap_err();
-        assert!(matches!(err, NetworkError::Route(_)));
+        let err =
+            solve_network(&net, &[(rn(0, 0), rn(1, 1))], 4, Algorithm::Brauner, 4).unwrap_err();
+        assert!(matches!(err, SolveError::Route(_)));
     }
 
     #[test]
@@ -184,13 +135,12 @@ mod tests {
         // must carry exactly one segment per demand.
         let net = star_network();
         let demands: Vec<_> = (1..5u32).map(|i| (rn(1, i), rn(2, i))).collect();
-        let mut rng = StdRng::seed_from_u64(5);
-        let out = groom_network(
+        let out = solve_network(
             &net,
             &demands,
             4,
             Algorithm::SpanTEuler(TreeStrategy::Bfs),
-            &mut rng,
+            5,
         )
         .unwrap();
         assert_eq!(out.rings[0].report.pairs_carried, demands.len());

@@ -284,30 +284,13 @@ impl OnlineGroomer {
         }
         (demands, EdgePartition::new(parts))
     }
-
-    /// The "maintenance window" comparison: re-groom the snapshot with a
-    /// static algorithm and report `(online SADMs, offline SADMs)` — the
-    /// price of never rearranging.
-    #[deprecated(
-        since = "0.5.0",
-        note = "solve `Instance::online(&groomer)` through `solve::Solver` instead"
-    )]
-    pub fn rearrange<R: rand::Rng>(
-        &self,
-        algorithm: crate::algorithm::Algorithm,
-        rng: &mut R,
-    ) -> Result<(usize, usize), crate::regular_euler::NotRegularError> {
-        let snapshot = self.demands();
-        let offline = crate::pipeline::groom(&snapshot, self.k, algorithm, rng)?;
-        Ok((self.sadm_count(), offline.report.sadm_total))
-    }
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::algorithm::Algorithm;
+    use crate::solve::{Instance, Plan, SolveContext, Solver};
     use grooming_graph::ids::NodeId;
     use grooming_graph::spanning::TreeStrategy;
     use rand::rngs::StdRng;
@@ -361,7 +344,10 @@ mod tests {
 
     #[test]
     fn rearrangement_reports_both_costs() {
-        let mut rng = StdRng::seed_from_u64(7);
+        // The maintenance-window comparison: the online cost against an
+        // offline ring solve of the same snapshot.
+        let mut ctx = SolveContext::seeded(7);
+        let rng = ctx.rng_mut();
         let mut g = OnlineGroomer::new(16, 8);
         for _ in 0..40 {
             let a = rng.gen_range(0..16u32);
@@ -371,13 +357,17 @@ mod tests {
             }
             g.add(pair(a, b));
         }
-        let (online, offline) = g
-            .rearrange(Algorithm::SpanTEuler(TreeStrategy::Bfs), &mut rng)
+        let sol = Algorithm::SpanTEuler(TreeStrategy::Bfs)
+            .solve(&Instance::ring(g.demands(), g.grooming_factor()), &mut ctx)
             .unwrap();
-        assert_eq!(online, g.sadm_count());
-        assert!(offline > 0);
+        assert!(g.sadm_count() > 0);
+        assert!(sol.plan.sadm_cost() > 0);
         // Both cover 40 demands on valid assignments.
         g.assignment().validate(Some(&g.demands())).unwrap();
+        let Plan::Ring { outcome } = &sol.plan else {
+            unreachable!("ring instances yield ring plans");
+        };
+        outcome.assignment.validate(Some(&g.demands())).unwrap();
     }
 
     #[test]

@@ -34,7 +34,6 @@ use std::time::{Duration, Instant};
 use grooming_graph::graph::Graph;
 use grooming_graph::spanning::TreeStrategy;
 use grooming_graph::workspace::Workspace;
-use rand::Rng;
 
 use crate::algorithm::Algorithm;
 use crate::partition::EdgePartition;
@@ -528,33 +527,19 @@ pub fn best_of_seeded(
         .run(g, k)
 }
 
-/// Compatibility front-door over [`best_of_seeded`]: draws the master seed
-/// from `rng` (one `next_u64` call) and runs sequentially.
-///
-/// # Panics
-/// Panics if `k == 0` or no portfolio entry accepts the instance.
-#[deprecated(
-    since = "0.5.0",
-    note = "use `solve::PortfolioSolver` with a `SolveContext` (or `best_of_seeded` for an explicit master seed)"
-)]
-pub fn best_of<R: Rng>(
-    g: &Graph,
-    k: usize,
-    portfolio: &[Algorithm],
-    restarts: usize,
-    rng: &mut R,
-) -> PortfolioResult {
-    best_of_seeded(g, k, portfolio, restarts, rng.next_u64(), 1)
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::bounds;
     use grooming_graph::generators;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// The master seed a context seeded with `seed` hands the engine (one
+    /// `next_u64` draw).
+    fn master(seed: u64) -> u64 {
+        StdRng::seed_from_u64(seed).next_u64()
+    }
 
     #[test]
     fn portfolio_beats_or_matches_every_member() {
@@ -562,8 +547,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let g = generators::gnm(20, 60, &mut rng);
             for k in [3usize, 8, 16] {
-                let mut r1 = StdRng::seed_from_u64(seed + 100);
-                let result = best_of(&g, k, &DEFAULT_PORTFOLIO, 0, &mut r1);
+                let result = best_of_seeded(&g, k, &DEFAULT_PORTFOLIO, 0, master(seed + 100), 1);
                 result.partition.validate(&g, k).unwrap();
                 assert_eq!(result.cost, result.partition.sadm_cost(&g));
                 for &(_, c) in &result.all_costs {
@@ -577,8 +561,8 @@ mod tests {
     #[test]
     fn restarts_never_hurt() {
         let g = generators::gnm(18, 50, &mut StdRng::seed_from_u64(1));
-        let single = best_of(&g, 8, &DEFAULT_PORTFOLIO, 0, &mut StdRng::seed_from_u64(2));
-        let multi = best_of(&g, 8, &DEFAULT_PORTFOLIO, 3, &mut StdRng::seed_from_u64(2));
+        let single = best_of_seeded(&g, 8, &DEFAULT_PORTFOLIO, 0, master(2), 1);
+        let multi = best_of_seeded(&g, 8, &DEFAULT_PORTFOLIO, 3, master(2), 1);
         assert!(multi.cost <= single.cost);
     }
 
@@ -591,7 +575,7 @@ mod tests {
             Algorithm::RegularEuler,
             Algorithm::SpanTEuler(grooming_graph::spanning::TreeStrategy::Bfs),
         ];
-        let result = best_of(&g, 4, &portfolio, 0, &mut StdRng::seed_from_u64(3));
+        let result = best_of_seeded(&g, 4, &portfolio, 0, master(3), 1);
         assert_eq!(result.winner.name(), "SpanT_Euler");
         assert_eq!(result.all_costs.len(), 1);
         assert_eq!(result.skipped, vec![Algorithm::RegularEuler]);
@@ -603,7 +587,7 @@ mod tests {
     #[test]
     fn winner_is_reported_consistently() {
         let g = generators::complete(12);
-        let result = best_of(&g, 3, &DEFAULT_PORTFOLIO, 0, &mut StdRng::seed_from_u64(4));
+        let result = best_of_seeded(&g, 3, &DEFAULT_PORTFOLIO, 0, master(4), 1);
         // On triangle-rich graphs at k=3 a clique packer must win.
         assert!(matches!(
             result.winner,
@@ -615,7 +599,7 @@ mod tests {
     #[should_panic(expected = "no portfolio entry")]
     fn empty_portfolio_panics() {
         let g = generators::cycle(4);
-        let _ = best_of(&g, 2, &[], 0, &mut StdRng::seed_from_u64(5));
+        let _ = best_of_seeded(&g, 2, &[], 0, master(5), 1);
     }
 
     #[test]

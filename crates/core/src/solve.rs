@@ -1,8 +1,8 @@
 //! The context/solver layer: one entry point, many workloads.
 //!
 //! Every grooming workload in this crate — the core single-ring problem,
-//! wavelength-budgeted grooming, online rearrangement windows, multi-ring
-//! networks, weighted splittable demands, and BLSR rings — normalizes into
+//! wavelength-budgeted grooming, multi-ring networks, weighted splittable
+//! demands, BLSR rings, warm starts, and mesh topologies — normalizes into
 //! an [`Instance`], and anything implementing [`Solver`] (a single
 //! [`Algorithm`] or the [`PortfolioSolver`]) turns an instance into a
 //! [`Solution`] against a caller-owned [`SolveContext`].
@@ -42,9 +42,7 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
 use crate::algorithm::Algorithm;
-use crate::budget::BudgetError;
-use crate::network::{NetworkError, NetworkGrooming};
-use crate::online::OnlineGroomer;
+use crate::network::NetworkGrooming;
 use crate::partition::{EdgePartition, PartitionError};
 use crate::pipeline::GroomingOutcome;
 use crate::portfolio::{PortfolioEngine, DEFAULT_PORTFOLIO};
@@ -54,43 +52,6 @@ use crate::regular_euler::NotRegularError;
 /// by default — the value every pre-context entry point hard-coded.
 pub const DEFAULT_REFINE_ROUNDS: usize = 8;
 
-/// Edge count above which [`ShardMode::Auto`] switches `SpanT_Euler` to the
-/// component-sharded pipeline. Below it the `O(n + m)` component split is
-/// pure overhead on graphs that solve in microseconds anyway; above it the
-/// per-component working sets start paying for themselves.
-pub const SHARD_AUTO_MIN_EDGES: usize = 1 << 14;
-
-/// When the solve layer runs `SpanT_Euler` through the component-sharded
-/// pipeline ([`crate::spant_euler::spant_euler_sharded_in`]).
-///
-/// Sharding never changes results: the sharded pipeline is bit-identical
-/// to the unsharded one for the RNG-free tree strategies and falls back to
-/// it for the RNG-consuming ones, so this knob only trades the split
-/// overhead against per-component memory locality.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ShardMode {
-    /// Shard once the graph has at least [`SHARD_AUTO_MIN_EDGES`] edges.
-    #[default]
-    Auto,
-    /// Always route through the sharded pipeline (it still falls back
-    /// internally when the graph has at most one edge-bearing component or
-    /// the tree strategy consumes RNG).
-    Always,
-    /// Never shard — always the unsharded pipeline.
-    Never,
-}
-
-impl ShardMode {
-    /// Whether a graph with `num_edges` edges should take the sharded path.
-    pub fn shards(&self, num_edges: usize) -> bool {
-        match self {
-            ShardMode::Auto => num_edges >= SHARD_AUTO_MIN_EDGES,
-            ShardMode::Always => true,
-            ShardMode::Never => false,
-        }
-    }
-}
-
 /// Tunables a [`SolveContext`] carries into every solver it serves.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
@@ -98,9 +59,6 @@ pub struct SolveConfig {
     /// Refinement rounds for [`Algorithm::SpanTEulerRefined`]
     /// (default [`DEFAULT_REFINE_ROUNDS`]).
     pub refine_rounds: usize,
-    /// Component-sharding policy for `SpanT_Euler` (default
-    /// [`ShardMode::Auto`]; never affects results).
-    pub shard: ShardMode,
     /// For [`Instance::Reconfigure`] warm starts: a bound on the SADM
     /// movement (occupancy churn) the repair's local re-optimization may
     /// spend — rearrangement as a first-class constraint next to SADM
@@ -114,7 +72,6 @@ impl Default for SolveConfig {
     fn default() -> Self {
         SolveConfig {
             refine_rounds: DEFAULT_REFINE_ROUNDS,
-            shard: ShardMode::default(),
             rearrange_budget: None,
         }
     }
@@ -404,9 +361,8 @@ impl DemandDelta {
     }
 }
 
-/// Why a solve failed. One taxonomy for every workload; the pre-context
-/// error types ([`NotRegularError`], [`BudgetError`], [`NetworkError`],
-/// [`RouteError`]) convert in with payloads preserved.
+/// Why a solve failed. One taxonomy for every workload; [`NotRegularError`]
+/// and [`RouteError`] convert in with payloads preserved.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SolveError {
@@ -493,29 +449,6 @@ impl From<RouteError> for SolveError {
     }
 }
 
-impl From<BudgetError> for SolveError {
-    fn from(e: BudgetError) -> Self {
-        match e {
-            BudgetError::Infeasible { budget, minimum } => {
-                SolveError::InfeasibleBudget { budget, minimum }
-            }
-            BudgetError::Algorithm(e) => SolveError::NotRegular(e),
-        }
-    }
-}
-
-impl From<NetworkError> for SolveError {
-    fn from(e: NetworkError) -> Self {
-        match e {
-            NetworkError::Route(e) => SolveError::Route(e),
-            NetworkError::Algorithm { ring, source } => SolveError::Ring {
-                ring,
-                source: Box::new(SolveError::NotRegular(source)),
-            },
-        }
-    }
-}
-
 /// A normalized grooming workload — the one input shape every [`Solver`]
 /// accepts.
 #[derive(Clone, Debug)]
@@ -545,16 +478,6 @@ pub enum Instance {
         k: usize,
         /// The wavelength budget.
         budget: usize,
-    },
-    /// A maintenance-window rearrangement: re-groom an online groomer's
-    /// demand snapshot offline, keeping the online cost for comparison.
-    OnlineRearrange {
-        /// The accumulated demand snapshot.
-        demands: DemandSet,
-        /// The grooming factor.
-        k: usize,
-        /// SADMs the online groomer had deployed at snapshot time.
-        online_sadms: usize,
     },
     /// A multi-ring network: route demands through gateways, groom every
     /// ring, aggregate.
@@ -630,17 +553,25 @@ impl Instance {
     }
 
     /// A wavelength-budgeted instance.
+    ///
+    /// ```
+    /// use grooming::algorithm::Algorithm;
+    /// use grooming::solve::{Instance, SolveContext, SolveError, Solver};
+    /// use grooming_graph::generators;
+    ///
+    /// let mut ctx = SolveContext::seeded(1);
+    /// let g = generators::gnm(16, 40, ctx.rng_mut());
+    /// // CliqueFirst may exceed the minimum ⌈40/8⌉ = 5 wavelengths; the
+    /// // budget layer merges it back down.
+    /// let sol = Algorithm::CliqueFirst
+    ///     .solve(&Instance::budgeted(g.clone(), 8, 5), &mut ctx)
+    ///     .unwrap();
+    /// assert!(sol.plan.wavelengths() <= 5);
+    /// let err = Algorithm::CliqueFirst.solve(&Instance::budgeted(g, 8, 4), &mut ctx);
+    /// assert!(matches!(err, Err(SolveError::InfeasibleBudget { budget: 4, minimum: 5 })));
+    /// ```
     pub fn budgeted(graph: Graph, k: usize, budget: usize) -> Self {
         Instance::Budgeted { graph, k, budget }
-    }
-
-    /// A rearrangement instance snapshotting `groomer`'s current state.
-    pub fn online(groomer: &OnlineGroomer) -> Self {
-        Instance::OnlineRearrange {
-            demands: groomer.demands(),
-            k: groomer.grooming_factor(),
-            online_sadms: groomer.sadm_count(),
-        }
     }
 
     /// A multi-ring network instance.
@@ -709,7 +640,6 @@ impl Instance {
             Instance::Upsr { k, .. }
             | Instance::Ring { k, .. }
             | Instance::Budgeted { k, .. }
-            | Instance::OnlineRearrange { k, .. }
             | Instance::MultiRing { k, .. }
             | Instance::WeightedSplittable { k, .. }
             | Instance::Blsr { k, .. }
@@ -741,13 +671,6 @@ pub enum Plan {
         partition: EdgePartition,
         /// Its SADM cost.
         cost: usize,
-    },
-    /// Rearrangement result.
-    OnlineRearrange {
-        /// SADMs the online groomer had deployed.
-        online_sadms: usize,
-        /// The offline re-grooming of the snapshot.
-        outcome: GroomingOutcome,
     },
     /// Multi-ring result.
     MultiRing {
@@ -798,13 +721,11 @@ pub enum Plan {
 }
 
 impl Plan {
-    /// Total SADM cost of the plan (summed across rings for multi-ring;
-    /// online plans report the *offline* cost).
+    /// Total SADM cost of the plan (summed across rings for multi-ring).
     pub fn sadm_cost(&self) -> usize {
         match self {
             Plan::Upsr { cost, .. } | Plan::Budgeted { cost, .. } => *cost,
             Plan::Ring { outcome }
-            | Plan::OnlineRearrange { outcome, .. }
             | Plan::WeightedSplittable { outcome, .. }
             | Plan::Reconfigure { outcome, .. }
             | Plan::Mesh { outcome, .. } => outcome.report.sadm_total,
@@ -820,7 +741,6 @@ impl Plan {
                 partition.num_wavelengths()
             }
             Plan::Ring { outcome }
-            | Plan::OnlineRearrange { outcome, .. }
             | Plan::WeightedSplittable { outcome, .. }
             | Plan::Reconfigure { outcome, .. }
             | Plan::Mesh { outcome, .. } => outcome.report.wavelengths,
@@ -834,7 +754,6 @@ impl Plan {
         match self {
             Plan::Upsr { partition, .. } | Plan::Budgeted { partition, .. } => Some(partition),
             Plan::Ring { outcome }
-            | Plan::OnlineRearrange { outcome, .. }
             | Plan::WeightedSplittable { outcome, .. }
             | Plan::Reconfigure { outcome, .. }
             | Plan::Mesh { outcome, .. } => Some(&outcome.partition),
@@ -892,7 +811,7 @@ pub struct PortfolioSolver<'a> {
     /// Worker threads (`0` = one per core, `1` = sequential in-thread).
     pub jobs: usize,
     /// Explicit master seed; `None` draws one from the context's RNG
-    /// (exactly one `next_u64` call — the pre-context `best_of` behavior).
+    /// (exactly one `next_u64` call, as [`Algorithm::Portfolio`] does).
     pub master_seed: Option<u64>,
 }
 
@@ -973,9 +892,9 @@ where
                 crate::budget::enforce_budget(graph, *k, &base, *budget)
             };
             if bounded.num_wavelengths() > *budget {
-                // Paranoia fallback mirroring `groom_with_budget`: the
-                // enforcement is total for feasible budgets, but keep the
-                // guaranteed-minimum algorithm as a safety net.
+                // Paranoia fallback: the enforcement is total for feasible
+                // budgets, but keep the guaranteed-minimum algorithm as a
+                // safety net.
                 let (rng, ws, _, _) = ctx.split();
                 bounded = crate::spant_euler::spant_euler_in(graph, *k, TreeStrategy::Bfs, rng, ws);
             }
@@ -987,24 +906,6 @@ where
                 },
                 timed,
                 "budgeted",
-            )
-        }
-        Instance::OnlineRearrange {
-            demands,
-            k,
-            online_sadms,
-        } => {
-            let g = demands.to_traffic_graph();
-            ctx.stats.lower_bound += crate::bounds::lower_bound(&g, *k) as u64;
-            let (partition, timed) = solve_partition(&g, *k, ctx)?;
-            let outcome = crate::pipeline::assemble(demands, &g, *k, partition);
-            (
-                Plan::OnlineRearrange {
-                    online_sadms: *online_sadms,
-                    outcome,
-                },
-                timed,
-                "online-rearrange",
             )
         }
         Instance::MultiRing {
@@ -1290,34 +1191,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_mode_never_changes_solutions() {
-        // A fragmented instance (sparse gnm => several components): the
-        // sharded and unsharded pipelines must agree bit-for-bit through
-        // the solve surface, for the construction and its refined form.
-        let g = generators::gnm(40, 30, &mut StdRng::seed_from_u64(21));
-        for algo in [
-            Algorithm::SpanTEuler(TreeStrategy::Dfs),
-            Algorithm::SpanTEulerRefined(TreeStrategy::Bfs),
-        ] {
-            let mut plans = Vec::new();
-            for shard in [ShardMode::Never, ShardMode::Always, ShardMode::Auto] {
-                let mut ctx = SolveContext::seeded(3).with_config(SolveConfig {
-                    shard,
-                    ..SolveConfig::default()
-                });
-                let sol = algo.solve(&Instance::upsr(g.clone(), 4), &mut ctx).unwrap();
-                plans.push(sol.plan.partition().unwrap().parts().to_vec());
-            }
-            assert_eq!(plans[0], plans[1], "{algo}: sharded diverged");
-            assert_eq!(plans[0], plans[2], "{algo}: auto diverged");
-        }
-        assert!(!ShardMode::Auto.shards(SHARD_AUTO_MIN_EDGES - 1));
-        assert!(ShardMode::Auto.shards(SHARD_AUTO_MIN_EDGES));
-        assert!(ShardMode::Always.shards(0));
-        assert!(!ShardMode::Never.shards(usize::MAX));
-    }
-
-    #[test]
     fn portfolio_solver_matches_seeded_engine() {
         let g = graph(2);
         let solver = PortfolioSolver {
@@ -1363,7 +1236,9 @@ mod tests {
     }
 
     #[test]
-    fn multi_ring_solve_matches_groom_network() {
+    fn multi_ring_solve_matches_per_ring_groom() {
+        // The multi-ring arm is "route, then groom every ring in order on
+        // the context's one RNG stream".
         let mut net = MultiRingNetwork::new(vec![8, 6]);
         net.add_gateway(rn(0, 0), rn(1, 0));
         let demands = vec![
@@ -1371,23 +1246,29 @@ mod tests {
             (rn(0, 2), rn(0, 5)),
             (rn(1, 1), rn(1, 4)),
         ];
+        let algo = Algorithm::WangGuIcc06;
         let mut ctx = SolveContext::seeded(5);
-        let sol = Algorithm::Brauner
+        let sol = algo
             .solve(
                 &Instance::multi_ring(net.clone(), demands.clone(), 4),
                 &mut ctx,
             )
             .unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        #[allow(deprecated)]
-        let reference =
-            crate::network::groom_network(&net, &demands, 4, Algorithm::Brauner, &mut rng).unwrap();
         let Plan::MultiRing { grooming } = &sol.plan else {
             panic!("wrong plan shape");
         };
-        assert_eq!(grooming.total_sadms, reference.total_sadms);
-        assert_eq!(grooming.total_wavelengths, reference.total_wavelengths);
-        assert_eq!(grooming.total_segments, reference.total_segments);
+        let per_ring = net.route_all(&demands).unwrap();
+        let mut rng = StdRng::seed_from_u64(5);
+        assert_eq!(grooming.rings.len(), per_ring.len());
+        for (outcome, segs) in grooming.rings.iter().zip(&per_ring) {
+            let direct = crate::pipeline::groom(segs, 4, algo, &mut rng).unwrap();
+            assert_eq!(outcome.partition.parts(), direct.partition.parts());
+            assert_eq!(outcome.report.sadm_total, direct.report.sadm_total);
+        }
+        assert_eq!(
+            grooming.total_segments,
+            per_ring.iter().map(|d| d.len()).sum::<usize>()
+        );
         assert_eq!(ctx.stats().attempts, net.num_rings() as u64);
     }
 
@@ -1580,24 +1461,15 @@ mod tests {
             min_degree: 1,
             max_degree: 3,
         };
+        let unreachable = RouteError::Unreachable { from: 0, to: 1 };
         assert_eq!(
-            SolveError::from(BudgetError::Infeasible {
-                budget: 2,
-                minimum: 5
-            }),
-            SolveError::InfeasibleBudget {
-                budget: 2,
-                minimum: 5
-            }
+            SolveError::from(unreachable.clone()),
+            SolveError::Route(unreachable)
         );
-        assert_eq!(
-            SolveError::from(BudgetError::Algorithm(nr.clone())),
-            SolveError::NotRegular(nr.clone())
-        );
-        let converted = SolveError::from(NetworkError::Algorithm {
+        let converted = SolveError::Ring {
             ring: 3,
-            source: nr.clone(),
-        });
+            source: Box::new(SolveError::from(nr.clone())),
+        };
         assert_eq!(
             converted,
             SolveError::Ring {

@@ -23,17 +23,14 @@
 
 use grooming_graph::euler::component_euler_walks_in;
 use grooming_graph::graph::Graph;
-use grooming_graph::ids::{EdgeId, NodeId};
 use grooming_graph::spanning::{spanning_forest_in, TreeStrategy};
-use grooming_graph::subgraph::{split_components, ComponentSubgraph};
 use grooming_graph::tree::odd_parity_tree_edges_from_counts;
 use grooming_graph::view::EdgeSubset;
-use grooming_graph::walk::Walk;
 use grooming_graph::workspace::Workspace;
 use rand::Rng;
 
 use crate::partition::EdgePartition;
-use crate::skeleton::{Skeleton, SkeletonCover};
+use crate::skeleton::SkeletonCover;
 
 /// Diagnostics from a `SpanT_Euler` run, for bound checks and ablations.
 #[derive(Clone, Debug)]
@@ -165,208 +162,6 @@ pub fn spant_euler_detailed_in<R: Rng>(
     }
 }
 
-/// Ordering key of a backbone inside the *unsharded* run's skeleton list:
-/// the unsharded `G''` edge sequence is every `E_odd` edge (sorted by
-/// subtree depth descending, then child node ascending — the bottom-up
-/// parity sweep's emission order, which interleaves graph components)
-/// followed by every non-tree edge in ascending id order. A backbone's
-/// position is its first edge's position in that sequence, so its key is
-/// the minimum over its edges of `(0, MAX − depth(child), child id)` for
-/// `E_odd` edges and `(1, edge id, 0)` for non-tree edges, all in *global*
-/// ids. Keys are distinct across backbones (tree edges have unique
-/// children; edge ids are unique).
-type BackboneKey = (u8, u64, u64);
-
-/// Per-component output of the sharded pipeline: the local cover (backbones
-/// first, orphan singletons after), the unsharded-order key of each
-/// backbone, and the local contributions to the run diagnostics.
-struct ComponentPieces {
-    cover: SkeletonCover,
-    backbone_count: usize,
-    backbone_keys: Vec<BackboneKey>,
-    components_g_minus_t: usize,
-}
-
-/// Stages 1–5 of the pipeline on one extracted component, plus the
-/// global-order backbone keys. Mirrors `spant_euler_detailed_in` exactly;
-/// only Proposition 2 is withheld (cutting must happen globally — parts
-/// pack across component seams).
-fn component_pieces_in<R: Rng>(
-    comp: &ComponentSubgraph,
-    strategy: TreeStrategy,
-    rng: &mut R,
-    ws: &mut Workspace,
-) -> ComponentPieces {
-    let local = &comp.graph;
-    let forest = spanning_forest_in(local, strategy, rng, ws);
-    let tree_set = EdgeSubset::from_edges(local, forest.edges.iter().copied());
-    let non_tree = tree_set.complement(local);
-
-    ws.counts.reset(local.num_nodes());
-    for &e in non_tree.edges() {
-        let (a, b) = local.endpoints(e);
-        ws.counts.add(a.index(), 1);
-        ws.counts.add(b.index(), 1);
-    }
-    let e_odd = odd_parity_tree_edges_from_counts(&forest, ws);
-    let e_odd_set = EdgeSubset::from_edges(local, e_odd.iter().copied());
-    let g2 = e_odd_set.union(local, &non_tree);
-    let backbones = component_euler_walks_in(local, &g2, ws)
-        .expect("even-degree components always have Euler circuits");
-
-    // Keys before the cover consumes the walks. Depths agree with the
-    // unsharded forest (roots sit at depth 0 in both), and the node/edge
-    // maps are monotone, so local argmin = global argmin.
-    let backbone_keys: Vec<BackboneKey> = backbones
-        .iter()
-        .map(|walk| {
-            walk.edges()
-                .iter()
-                .map(|&e| {
-                    if e_odd_set.contains(e) {
-                        let (a, b) = local.endpoints(e);
-                        let child = if forest.depth[a.index()] > forest.depth[b.index()] {
-                            a
-                        } else {
-                            b
-                        };
-                        (
-                            0u8,
-                            u64::MAX - forest.depth[child.index()] as u64,
-                            comp.nodes[child.index()].index() as u64,
-                        )
-                    } else {
-                        (1u8, comp.edges[e.index()].index() as u64, 0u64)
-                    }
-                })
-                .min()
-                .expect("every Euler backbone has at least one edge")
-        })
-        .collect();
-    let backbone_count = backbones.len();
-
-    let remaining = tree_set.minus(local, &e_odd_set);
-    let cover = SkeletonCover::build_in(local, backbones, remaining.edges(), ws);
-    debug_assert!(cover.validate(local, true).is_ok());
-
-    ComponentPieces {
-        cover,
-        backbone_count,
-        backbone_keys,
-        components_g_minus_t: non_tree.spanning_component_count_in(local, ws),
-    }
-}
-
-/// Rebuilds a component-local skeleton in the parent graph's id space
-/// through the component's monotone node/edge maps.
-fn remap_skeleton(g: &Graph, comp: &ComponentSubgraph, s: &Skeleton) -> Skeleton {
-    let nodes: Vec<NodeId> = s
-        .backbone()
-        .nodes()
-        .iter()
-        .map(|&v| comp.nodes[v.index()])
-        .collect();
-    let edges: Vec<EdgeId> = s
-        .backbone()
-        .edges()
-        .iter()
-        .map(|&e| comp.edges[e.index()])
-        .collect();
-    let mut out = Skeleton::from_backbone(Walk::from_parts(g, nodes, edges));
-    for br in s.branches() {
-        out.attach_branch(g, comp.edges[br.edge.index()], br.attach);
-    }
-    out
-}
-
-/// Component-sharded `SpanT_Euler`: splits `g` into connected components,
-/// runs the pipeline per component on compact node-remapped subgraphs, and
-/// reassembles one global skeleton cover before the single Proposition 2
-/// cut. Output is **bit-identical** to [`spant_euler_detailed_in`] for the
-/// RNG-free tree strategies (`Bfs`/`Dfs`): every per-component stage is
-/// invariant under the monotone id remap, and the reassembly restores the
-/// unsharded skeleton order (backbones by their `G''` first-appearance
-/// keys, then orphan singletons in component order).
-///
-/// The win at scale is locality: each stage's working set is one component
-/// instead of the whole graph, and per-stage scratch is sized to the
-/// largest component. Strategies that consume RNG during spanning-forest
-/// construction (`RandomKruskal`/`LowDegree` shuffle globally) cannot be
-/// sharded reproducibly, so they fall back to the unsharded pipeline, as
-/// do graphs whose edges all live in one component.
-pub fn spant_euler_sharded_detailed_in<R: Rng>(
-    g: &Graph,
-    k: usize,
-    strategy: TreeStrategy,
-    rng: &mut R,
-    ws: &mut Workspace,
-) -> SpanTEulerRun {
-    assert!(k > 0, "grooming factor must be positive");
-    let rng_free = matches!(strategy, TreeStrategy::Bfs | TreeStrategy::Dfs);
-    if g.is_empty() || !rng_free {
-        return spant_euler_detailed_in(g, k, strategy, rng, ws);
-    }
-    let comps = split_components(g);
-    if comps.iter().filter(|c| c.graph.num_edges() > 0).count() <= 1 {
-        return spant_euler_detailed_in(g, k, strategy, rng, ws);
-    }
-
-    let mut keyed: Vec<(BackboneKey, Skeleton)> = Vec::new();
-    let mut orphans: Vec<Skeleton> = Vec::new();
-    let mut components_g_minus_t = 0usize;
-    let mut euler_components = 0usize;
-    for comp in &comps {
-        if comp.graph.num_edges() == 0 {
-            // An isolated node is its own component of G\T.
-            components_g_minus_t += 1;
-            continue;
-        }
-        let pieces = component_pieces_in(comp, strategy, rng, ws);
-        components_g_minus_t += pieces.components_g_minus_t;
-        euler_components += pieces.backbone_count;
-        for (i, skel) in pieces.cover.skeletons().iter().enumerate() {
-            let remapped = remap_skeleton(g, comp, skel);
-            if i < pieces.backbone_count {
-                keyed.push((pieces.backbone_keys[i], remapped));
-            } else {
-                orphans.push(remapped);
-            }
-        }
-    }
-    // Backbones in unsharded G'' order; orphan singletons follow — the
-    // unsharded branch scan walks tree edges in component-block order, so
-    // concatenation by ascending component already matches it.
-    keyed.sort_by_key(|a| a.0);
-    let mut cover = SkeletonCover::new();
-    for (_, s) in keyed {
-        cover.push(s);
-    }
-    for s in orphans {
-        cover.push(s);
-    }
-    debug_assert!(cover.validate(g, true).is_ok());
-
-    let partition = cover.to_partition(k);
-    SpanTEulerRun {
-        partition,
-        cover_size: cover.size(),
-        components_g_minus_t,
-        euler_components,
-        strategy,
-    }
-}
-
-/// [`spant_euler_sharded_detailed_in`] returning just the partition.
-pub fn spant_euler_sharded_in<R: Rng>(
-    g: &Graph,
-    k: usize,
-    strategy: TreeStrategy,
-    rng: &mut R,
-    ws: &mut Workspace,
-) -> EdgePartition {
-    spant_euler_sharded_detailed_in(g, k, strategy, rng, ws).partition
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,94 +285,5 @@ mod tests {
         assert_eq!(run.partition.num_wavelengths(), 1);
         // One wavelength touches at most all non-isolated nodes.
         assert!(run.partition.sadm_cost(&g) <= g.non_isolated_nodes().len());
-    }
-
-    /// Sparse `gnm` instances: many components, isolated nodes included.
-    fn fragmented(seed: u64) -> Graph {
-        let g = generators::gnm(40, 30, &mut rng(seed));
-        assert!(
-            split_components(&g)
-                .iter()
-                .filter(|c| c.graph.num_edges() > 0)
-                .count()
-                > 1,
-            "fixture must be multi-component"
-        );
-        g
-    }
-
-    #[test]
-    fn sharded_is_bit_identical_on_multi_component_graphs() {
-        let mut ws = Workspace::new();
-        for seed in 0..8u64 {
-            let g = fragmented(seed);
-            for strategy in [TreeStrategy::Bfs, TreeStrategy::Dfs] {
-                for k in [1, 2, 3, 4, 7, 16] {
-                    let base = spant_euler_detailed_in(&g, k, strategy, &mut rng(seed), &mut ws);
-                    let sharded =
-                        spant_euler_sharded_detailed_in(&g, k, strategy, &mut rng(seed), &mut ws);
-                    assert_eq!(
-                        base.partition.parts(),
-                        sharded.partition.parts(),
-                        "seed {seed} strategy {strategy:?} k {k}"
-                    );
-                    assert_eq!(base.cover_size, sharded.cover_size);
-                    assert_eq!(base.components_g_minus_t, sharded.components_g_minus_t);
-                    assert_eq!(base.euler_components, sharded.euler_components);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_disconnected_fixture_matches_unsharded() {
-        // Hand-built: two triangles, a lone edge, and an isolated node —
-        // the same fixture the unsharded disconnected test uses.
-        let g = Graph::from_edges(9, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (6, 7)]);
-        let mut ws = Workspace::new();
-        for k in [1, 2, 3, 4, 16] {
-            let base = spant_euler_detailed_in(&g, k, TreeStrategy::Bfs, &mut rng(4), &mut ws);
-            let sharded =
-                spant_euler_sharded_detailed_in(&g, k, TreeStrategy::Bfs, &mut rng(4), &mut ws);
-            assert_eq!(base.partition.parts(), sharded.partition.parts());
-            check_all_invariants(&g, k, &sharded);
-        }
-    }
-
-    #[test]
-    fn sharded_falls_back_for_rng_consuming_strategies() {
-        // RandomKruskal/LowDegree shuffle globally, so the sharded entry
-        // point must delegate to the unsharded pipeline — identical output
-        // AND identical RNG consumption.
-        let g = fragmented(3);
-        let mut ws = Workspace::new();
-        for strategy in [TreeStrategy::RandomKruskal, TreeStrategy::LowDegree] {
-            let mut r1 = rng(11);
-            let mut r2 = rng(11);
-            let base = spant_euler_detailed_in(&g, 4, strategy, &mut r1, &mut ws);
-            let sharded = spant_euler_sharded_detailed_in(&g, 4, strategy, &mut r2, &mut ws);
-            assert_eq!(base.partition.parts(), sharded.partition.parts());
-            use rand::RngCore;
-            assert_eq!(
-                r1.next_u64(),
-                r2.next_u64(),
-                "RNG streams must stay in step"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_single_component_and_empty_graphs() {
-        let mut ws = Workspace::new();
-        let empty = Graph::new(5);
-        let run =
-            spant_euler_sharded_detailed_in(&empty, 4, TreeStrategy::Bfs, &mut rng(0), &mut ws);
-        assert_eq!(run.partition.num_wavelengths(), 0);
-
-        let g = generators::petersen();
-        let base = spant_euler_detailed_in(&g, 3, TreeStrategy::Dfs, &mut rng(1), &mut ws);
-        let sharded =
-            spant_euler_sharded_detailed_in(&g, 3, TreeStrategy::Dfs, &mut rng(1), &mut ws);
-        assert_eq!(base.partition.parts(), sharded.partition.parts());
     }
 }

@@ -1,15 +1,13 @@
 //! Property tests for the improvement heuristics, the budget layer, and
 //! the hardness gadget on randomized inputs.
 
-// The deprecated wrappers stay covered here until they are removed.
-#![allow(deprecated)]
-
 use grooming::algorithm::Algorithm;
 use grooming::bounds;
-use grooming::budget::{enforce_budget, groom_with_budget};
+use grooming::budget::enforce_budget;
 use grooming::hardness::regularize;
 use grooming::improve::{anneal, clique_first, dense_first, merge_parts, refine};
 use grooming::partition::EdgePartition;
+use grooming::solve::{Instance, SolveContext, Solver};
 use grooming::spant_euler::spant_euler;
 use grooming_graph::generators;
 use grooming_graph::graph::Graph;
@@ -107,10 +105,11 @@ proptest! {
     ) {
         let min_w = EdgePartition::min_wavelengths(g.num_edges(), k);
         let budget = min_w + slack;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let p = groom_with_budget(&g, k, budget, Algorithm::CliqueFirst, &mut rng).unwrap();
-        p.validate(&g, k).unwrap();
-        prop_assert!(p.num_wavelengths() <= budget);
+        let sol = Algorithm::CliqueFirst
+            .solve(&Instance::budgeted(g.clone(), k, budget), &mut SolveContext::seeded(seed))
+            .unwrap();
+        sol.plan.partition().unwrap().validate(&g, k).unwrap();
+        prop_assert!(sol.plan.wavelengths() <= budget);
     }
 
     #[test]

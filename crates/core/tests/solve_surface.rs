@@ -63,11 +63,10 @@ proptest! {
     }
 }
 
-/// The online-rearrange instance reproduces the deprecated
-/// `OnlineGroomer::rearrange` wrapper number-for-number at fixed seeds.
+/// A maintenance-window re-groom is a ring solve of the online groomer's
+/// snapshot, bit-identical to `pipeline::groom` on the same stream.
 #[test]
-#[allow(deprecated)]
-fn online_instance_matches_old_rearrange_wrapper() {
+fn online_snapshot_ring_solve_matches_groom() {
     use grooming::online::OnlineGroomer;
     for seed in 0..6u64 {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -76,23 +75,27 @@ fn online_instance_matches_old_rearrange_wrapper() {
         for &p in demands.pairs() {
             groomer.add(p);
         }
-
-        let mut old_rng = StdRng::seed_from_u64(seed ^ 0x5EED);
-        let (old_online, old_offline) = groomer.rearrange(spant(), &mut old_rng).unwrap();
-
-        let mut ctx = SolveContext::seeded(seed ^ 0x5EED);
-        let sol = spant()
-            .solve(&Instance::online(&groomer), &mut ctx)
-            .unwrap();
-        let Plan::OnlineRearrange {
-            online_sadms,
-            outcome,
-        } = sol.plan
-        else {
-            panic!("online instances yield rearrange plans");
-        };
-        assert_eq!(online_sadms, old_online, "seed {seed}");
-        assert_eq!(outcome.report.sadm_total, old_offline, "seed {seed}");
+        let snapshot = groomer.demands();
+        for algo in [spant(), Algorithm::CliqueFirst] {
+            let mut ctx = SolveContext::seeded(seed ^ 0x5EED);
+            let sol = algo
+                .solve(
+                    &Instance::ring(snapshot.clone(), groomer.grooming_factor()),
+                    &mut ctx,
+                )
+                .unwrap();
+            let Plan::Ring { outcome } = sol.plan else {
+                panic!("ring instances yield ring plans");
+            };
+            let mut direct_rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+            let direct = groom(&snapshot, 4, algo, &mut direct_rng).unwrap();
+            assert_eq!(
+                outcome.partition.parts(),
+                direct.partition.parts(),
+                "seed {seed} {algo}"
+            );
+            assert_eq!(outcome.report.sadm_total, direct.report.sadm_total);
+        }
     }
 }
 
@@ -139,11 +142,6 @@ fn all_variants_solve_through_one_surface() {
     let mut net = MultiRingNetwork::new(vec![6, 5]);
     net.add_gateway(rn(0, 0), rn(1, 0));
 
-    let mut groomer = grooming::online::OnlineGroomer::new(10, k);
-    for &p in demands.pairs() {
-        groomer.add(p);
-    }
-
     let instances = vec![
         Instance::upsr(g.clone(), k),
         Instance::ring(demands.clone(), k),
@@ -152,7 +150,6 @@ fn all_variants_solve_through_one_surface() {
             k,
             EdgePartition::min_wavelengths(g.num_edges(), k) + 1,
         ),
-        Instance::online(&groomer),
         Instance::multi_ring(net, vec![(rn(0, 1), rn(1, 2)), (rn(1, 1), rn(1, 3))], k),
         Instance::weighted(weighted, k),
         Instance::blsr(BlsrRing::new(10), demands.clone(), k),
@@ -164,10 +161,10 @@ fn all_variants_solve_through_one_surface() {
         assert!(sol.plan.sadm_cost() > 0);
         assert!(sol.plan.wavelengths() > 0);
     }
-    // 6 partition-shaped instances (multi-ring counts one per ring, BLSR is
+    // 5 partition-shaped instances (multi-ring counts one per ring, BLSR is
     // deterministic and draws no attempt) and one stage call per instance
-    // (the seven distinct workloads aggregate into seven stage kinds).
-    assert_eq!(ctx.stats().attempts, 7);
+    // (the six distinct workloads aggregate into six stage kinds).
+    assert_eq!(ctx.stats().attempts, 6);
     assert_eq!(ctx.stats().stage_calls(), instances.len() as u64);
     assert_eq!(ctx.stats().stages.len(), instances.len());
 

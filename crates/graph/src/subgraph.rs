@@ -7,8 +7,7 @@
 //! that extraction in one audited place.
 
 use crate::graph::Graph;
-use crate::ids::{EdgeId, NodeId};
-use crate::traversal::connected_components;
+use crate::ids::EdgeId;
 use crate::view::EdgeSubset;
 
 /// A graph built from a subset of a parent graph's edges, remembering the
@@ -76,62 +75,6 @@ pub fn extract_unused(g: &Graph, used: &[bool]) -> ExtractedSubgraph {
     ExtractedSubgraph { graph, parent_edge }
 }
 
-/// One connected component of a parent graph, rebuilt over a *compact* node
-/// id space (unlike [`ExtractedSubgraph`], which keeps the parent's full
-/// node set). Both id maps are ascending, so the remapping is monotone:
-/// relative order of node ids, edge ids, and CSR incident lists is exactly
-/// the parent's — the property the component-sharded solver relies on for
-/// bit-identical per-component runs.
-#[derive(Clone, Debug)]
-pub struct ComponentSubgraph {
-    /// The standalone component graph over `0..nodes.len()` local nodes.
-    pub graph: Graph,
-    /// `nodes[v]` = the parent node id of local node `v` (ascending).
-    pub nodes: Vec<NodeId>,
-    /// `edges[e]` = the parent edge id of local edge `e` (ascending).
-    pub edges: Vec<EdgeId>,
-}
-
-/// Splits `g` into its connected components, each as a node-remapped
-/// [`ComponentSubgraph`]. Components are emitted in ascending order of
-/// their smallest node id; isolated nodes become single-node, zero-edge
-/// components. Total cost is O(n + m), independent of the component count
-/// (the full-node-set [`extract`] would pay O(n) *per* component).
-pub fn split_components(g: &Graph) -> Vec<ComponentSubgraph> {
-    let comps = connected_components(g);
-    let mut sizes = vec![0usize; comps.count];
-    for &c in &comps.labels {
-        sizes[c] += 1;
-    }
-    // Local id of each node: position within its component's ascending
-    // node scan.
-    let mut local = vec![0u32; g.num_nodes()];
-    let mut cursor = vec![0u32; comps.count];
-    let mut out: Vec<ComponentSubgraph> = sizes
-        .iter()
-        .map(|&s| ComponentSubgraph {
-            graph: Graph::new(s),
-            nodes: Vec::with_capacity(s),
-            edges: Vec::new(),
-        })
-        .collect();
-    for v in g.nodes() {
-        let c = comps.labels[v.index()];
-        local[v.index()] = cursor[c];
-        cursor[c] += 1;
-        out[c].nodes.push(v);
-    }
-    for e in g.edges() {
-        let (u, v) = g.endpoints(e);
-        let c = comps.labels[u.index()];
-        out[c]
-            .graph
-            .add_edge(NodeId(local[u.index()]), NodeId(local[v.index()]));
-        out[c].edges.push(e);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,52 +117,6 @@ mod tests {
         let by_list = extract(&g, &survivors);
         assert_eq!(by_flags.parent_edge, by_list.parent_edge);
         assert_eq!(by_flags.graph.num_edges(), g.num_edges() - 2);
-    }
-
-    #[test]
-    fn split_components_partitions_nodes_and_edges() {
-        // Two triangles plus an isolated node and a lone edge.
-        let g = Graph::from_edges(9, &[(0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (6, 4), (7, 8)]);
-        let comps = split_components(&g);
-        assert_eq!(comps.len(), 4);
-        assert_eq!(
-            comps
-                .iter()
-                .map(|c| c.graph.num_nodes())
-                .collect::<Vec<_>>(),
-            vec![3, 1, 3, 2]
-        );
-        assert_eq!(
-            comps
-                .iter()
-                .map(|c| c.graph.num_edges())
-                .collect::<Vec<_>>(),
-            vec![3, 0, 3, 1]
-        );
-        // Ascending, monotone maps; endpoints round-trip.
-        for c in &comps {
-            assert!(c.nodes.windows(2).all(|w| w[0] < w[1]));
-            assert!(c.edges.windows(2).all(|w| w[0] < w[1]));
-            for e in c.graph.edges() {
-                let (lu, lv) = c.graph.endpoints(e);
-                let (gu, gv) = g.endpoints(c.edges[e.index()]);
-                assert_eq!((c.nodes[lu.index()], c.nodes[lv.index()]), (gu, gv));
-            }
-        }
-        // Isolated node 3 forms its own edgeless component.
-        assert_eq!(comps[1].nodes, vec![NodeId(3)]);
-    }
-
-    #[test]
-    fn split_components_single_component_is_identity() {
-        let g = generators::petersen();
-        let comps = split_components(&g);
-        assert_eq!(comps.len(), 1);
-        assert_eq!(comps[0].graph.num_edges(), g.num_edges());
-        assert_eq!(comps[0].nodes.len(), g.num_nodes());
-        for e in g.edges() {
-            assert_eq!(comps[0].graph.endpoints(e), g.endpoints(e));
-        }
     }
 
     #[test]

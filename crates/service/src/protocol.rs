@@ -25,16 +25,17 @@
 //! *between* top-level requests):
 //!
 //! ```text
-//! ITEM <kind> k=<K> [budget=<B>] [sadms=<S>]
+//! ITEM <kind> k=<K> [budget=<B>]
 //! demands v1 <n> <m>
 //! <u> <v> [units]
 //! ...
 //! ```
 //!
 //! Kinds: `upsr`, `ring`, `budgeted` (requires `budget=`), `weighted`,
-//! `online` (requires `sadms=`), `blsr`, `mesh` (requires `routes=`),
-//! `reconfigure`. Multi-ring instances are in-process only — their gateway
-//! topology has no demand-list encoding — so [`format_batch_request`]
+//! `blsr`, `mesh` (requires `routes=`), `reconfigure`. Any other kind is
+//! refused as malformed (`ITEM (unknown kind)`), and so is a key the kind
+//! does not consume. Multi-ring instances are in-process only — their
+//! gateway topology has no demand-list encoding — so [`format_batch_request`]
 //! refuses them with [`WireFormatError::NotWireable`].
 //!
 //! A `mesh` stanza carries the physical topology in the `topology v1`
@@ -593,9 +594,13 @@ fn parse_item(line: &str, list: &DemandList) -> Result<Instance, RequestError> {
         return Err(malformed("item stanza (expected ITEM)", line));
     }
     let kind = toks.next().ok_or_else(|| malformed("ITEM kind", line))?;
+    // The kind is checked before its keys: an unknown kind is reported as
+    // such whatever keys it carries.
+    if !matches!(kind, "upsr" | "ring" | "budgeted" | "weighted" | "blsr") {
+        return Err(malformed("ITEM (unknown kind)", line));
+    }
     let mut k = None;
     let mut budget = None;
-    let mut sadms = None;
     for tok in toks {
         let (key, value) = tok
             .split_once('=')
@@ -606,7 +611,6 @@ fn parse_item(line: &str, list: &DemandList) -> Result<Instance, RequestError> {
         match key {
             "k" => k = Some(parsed),
             "budget" => budget = Some(parsed),
-            "sadms" => sadms = Some(parsed),
             _ => return Err(malformed("ITEM field (unknown key)", line)),
         }
     }
@@ -616,11 +620,7 @@ fn parse_item(line: &str, list: &DemandList) -> Result<Instance, RequestError> {
     }
     // Fields that a kind does not consume are rejected, not ignored.
     let instance = match kind {
-        "upsr" if budget.is_none() && sadms.is_none() => Instance::upsr(graph_from_list(list), k),
-        "ring" if budget.is_none() && sadms.is_none() => {
-            Instance::ring(demand_set_from_list(list), k)
-        }
-        "budgeted" if sadms.is_none() => {
+        "budgeted" => {
             let budget =
                 budget.ok_or_else(|| malformed("ITEM budgeted (missing budget=)", line))?;
             if budget == 0 {
@@ -628,25 +628,14 @@ fn parse_item(line: &str, list: &DemandList) -> Result<Instance, RequestError> {
             }
             Instance::budgeted(graph_from_list(list), k, budget)
         }
-        "weighted" if budget.is_none() && sadms.is_none() => {
-            Instance::weighted(weighted_from_list(list), k)
-        }
-        "online" if budget.is_none() => {
-            let online_sadms =
-                sadms.ok_or_else(|| malformed("ITEM online (missing sadms=)", line))?;
-            Instance::OnlineRearrange {
-                demands: demand_set_from_list(list),
-                k,
-                online_sadms,
-            }
-        }
-        "blsr" if budget.is_none() && sadms.is_none() => {
-            Instance::blsr(BlsrRing::new(list.nodes), demand_set_from_list(list), k)
-        }
-        "upsr" | "ring" | "budgeted" | "weighted" | "online" | "blsr" => {
+        _ if budget.is_some() => {
             return Err(malformed("ITEM (field not valid for this kind)", line))
         }
-        _ => return Err(malformed("ITEM (unknown kind)", line)),
+        "upsr" => Instance::upsr(graph_from_list(list), k),
+        "ring" => Instance::ring(demand_set_from_list(list), k),
+        "weighted" => Instance::weighted(weighted_from_list(list), k),
+        "blsr" => Instance::blsr(BlsrRing::new(list.nodes), demand_set_from_list(list), k),
+        _ => unreachable!("kind checked above"),
     };
     Ok(instance)
 }
@@ -759,14 +748,6 @@ pub fn format_item(instance: &Instance) -> Result<String, WireFormatError> {
         Instance::WeightedSplittable { demands, k } => {
             (format!("ITEM weighted k={k}"), weighted_to_list(demands))
         }
-        Instance::OnlineRearrange {
-            demands,
-            k,
-            online_sadms,
-        } => (
-            format!("ITEM online k={k} sadms={online_sadms}"),
-            demand_set_to_list(demands),
-        ),
         Instance::Blsr { ring, demands, k } => {
             if ring.num_nodes() != demands.num_nodes() {
                 return Err(WireFormatError::NotWireable(
@@ -997,11 +978,6 @@ mod tests {
                 Instance::ring(demands.clone(), 3),
                 Instance::budgeted(graph, 4, 7),
                 Instance::weighted(weighted, 4),
-                Instance::OnlineRearrange {
-                    demands: demands.clone(),
-                    k: 3,
-                    online_sadms: 12,
-                },
                 Instance::mesh(topology, demands.clone(), 3, 2),
                 Instance::blsr(BlsrRing::new(9), demands, 3),
             ],
@@ -1283,7 +1259,8 @@ mod tests {
             "BATCH id=1 count=1\nITEM upsr k=0\ndemands v1 2 0\nEND\n",
             "BATCH id=1 count=1\nITEM upsr k=4 budget=3\ndemands v1 2 0\nEND\n",
             "BATCH id=1 count=1\nITEM budgeted k=4\ndemands v1 2 0\nEND\n", // missing budget
-            "BATCH id=1 count=1\nITEM online k=4\ndemands v1 2 0\nEND\n",   // missing sadms
+            "BATCH id=1 count=1\nITEM online k=4 sadms=3\ndemands v1 2 0\nEND\n", // retired kind
+            "BATCH id=1 count=1\nITEM ring k=4 sadms=3\ndemands v1 2 0\nEND\n", // unknown key
             "BATCH id=1 count=1\nITEM warp k=4\ndemands v1 2 0\nEND\n",     // unknown kind
             "BATCH id=1 count=1\nITEM upsr k=4\ndemands v1 1 0\nEND\n",     // < 2 nodes
             "BATCH id=1 count=1\nITEM upsr k=4\ndemands v2 2 0\nEND\n",     // bad version
@@ -1296,6 +1273,15 @@ mod tests {
                 "expected wire error for {text:?}"
             );
         }
+        // An unknown kind is reported as such whatever keys it carries.
+        let text = "BATCH id=1 count=1\nITEM online k=4 sadms=3\ndemands v1 2 0\nEND\n";
+        assert!(matches!(
+            parse_str(text, &config),
+            Err(RequestError::Wire(WireError::Malformed {
+                context: "ITEM (unknown kind)",
+                ..
+            }))
+        ));
         // Truncation mid-block is EOF, not a panic.
         let text = "BATCH id=1 count=2\nITEM upsr k=4\ndemands v1 3 2\n0 1\n";
         assert!(matches!(

@@ -85,9 +85,9 @@ fn instance_size(instance: &Instance) -> (usize, u64) {
         Instance::Upsr { graph, k: _ } | Instance::Budgeted { graph, .. } => {
             (graph.num_nodes(), graph.num_edges() as u64)
         }
-        Instance::Ring { demands, .. }
-        | Instance::OnlineRearrange { demands, .. }
-        | Instance::Blsr { demands, .. } => (demands.num_nodes(), demands.len() as u64),
+        Instance::Ring { demands, .. } | Instance::Blsr { demands, .. } => {
+            (demands.num_nodes(), demands.len() as u64)
+        }
         Instance::MultiRing {
             network, demands, ..
         } => (

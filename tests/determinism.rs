@@ -2,14 +2,10 @@
 //! results across runs, for every algorithm — reproducibility is what makes
 //! EXPERIMENTS.md's numbers auditable.
 
-// The deprecated wrappers stay covered here until they are removed: their
-// determinism contract must hold for as long as they exist.
-#![allow(deprecated)]
-
 use grooming::algorithm::Algorithm;
-use grooming::budget::groom_with_budget;
 use grooming::pipeline::groom;
 use grooming::portfolio::{best_of_seeded, PortfolioEngine, DEFAULT_PORTFOLIO};
+use grooming::solve::{Instance, SolveContext, Solver};
 use grooming_graph::generators;
 use grooming_graph::spanning::TreeStrategy;
 use grooming_sonet::demand::DemandSet;
@@ -72,23 +68,20 @@ fn regular_euler_is_seed_free_deterministic() {
 #[test]
 fn budget_layer_is_deterministic() {
     let g = generators::gnm(18, 50, &mut StdRng::seed_from_u64(6));
-    let a = groom_with_budget(
-        &g,
-        8,
-        7,
-        Algorithm::CliqueFirst,
-        &mut StdRng::seed_from_u64(2),
-    )
-    .unwrap();
-    let b = groom_with_budget(
-        &g,
-        8,
-        7,
-        Algorithm::CliqueFirst,
-        &mut StdRng::seed_from_u64(2),
-    )
-    .unwrap();
-    assert_eq!(a.parts(), b.parts());
+    let solve = || {
+        Algorithm::CliqueFirst
+            .solve(
+                &Instance::budgeted(g.clone(), 8, 7),
+                &mut SolveContext::seeded(2),
+            )
+            .unwrap()
+            .plan
+    };
+    let (a, b) = (solve(), solve());
+    assert_eq!(
+        a.partition().unwrap().parts(),
+        b.partition().unwrap().parts()
+    );
 }
 
 #[test]

@@ -2,12 +2,9 @@
 //! protection switching, BLSR grooming, and the wavelength-budget layer —
 //! exercised together through realistic scenarios.
 
-// The deprecated wrappers stay covered here until they are removed.
-#![allow(deprecated)]
-
 use grooming::algorithm::Algorithm;
-use grooming::budget::groom_with_budget;
 use grooming::pipeline::groom;
+use grooming::solve::{Instance, SolveContext, Solver};
 use grooming_graph::spanning::TreeStrategy;
 use grooming_sonet::blsr::{groom_blsr, BlsrRing};
 use grooming_sonet::demand::DemandSet;
@@ -115,12 +112,21 @@ fn budget_layer_composes_with_the_pipeline_demands() {
     let demands = DemandSet::random(16, 40, &mut rng(3));
     let g = demands.to_traffic_graph();
     let min_w = 40usize.div_ceil(8);
-    let p = groom_with_budget(&g, 8, min_w, Algorithm::CliqueFirst, &mut rng(3)).unwrap();
-    p.validate(&g, 8).unwrap();
-    assert!(p.num_wavelengths() <= min_w);
+    let budgeted = |budget: usize| {
+        Algorithm::CliqueFirst
+            .solve(
+                &Instance::budgeted(g.clone(), 8, budget),
+                &mut SolveContext::seeded(3),
+            )
+            .unwrap()
+            .plan
+    };
+    let p = budgeted(min_w);
+    p.partition().unwrap().validate(&g, 8).unwrap();
+    assert!(p.wavelengths() <= min_w);
     // And with slack, cost is no worse.
-    let loose = groom_with_budget(&g, 8, min_w + 4, Algorithm::CliqueFirst, &mut rng(3)).unwrap();
-    assert!(loose.sadm_cost(&g) <= p.sadm_cost(&g));
+    let loose = budgeted(min_w + 4);
+    assert!(loose.sadm_cost() <= p.sadm_cost());
 }
 
 #[test]
