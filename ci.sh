@@ -54,6 +54,14 @@ echo "== tier-1: cargo build --release && cargo test =="
 cargo build --release
 cargo test -q
 
+echo "== perfbench self-test: the benchmark's view of the public API (release) =="
+# perfbench is its own package (own [workspace] and lock file) that drives
+# the library from outside, through public functions only: refine_with_stats,
+# warm_repair, lower_bound, the service protocol. Its self-test runs every
+# workload at a tiny size and replays each layer call against the wire
+# plan, so API or behaviour drift fails here, not at the next benchmark run.
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "== service smoke: groomd over TCP (digest-asserted transcript) =="
 # Serves a canned mixed batch on an ephemeral loopback port at 1 and 2
 # workers and asserts the response transcripts are byte-identical — the

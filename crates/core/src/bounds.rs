@@ -25,26 +25,82 @@ pub fn min_nodes_for_edges(e: usize) -> usize {
 }
 
 /// The clique lower bound: the minimum of `Σ ν(e_i)` over all ways to split
-/// `m` edges into parts of at most `k`, computed exactly by dynamic
-/// programming. No valid partition of any graph with `m` edges can cost
-/// less.
+/// `m` edges into parts of at most `k`, computed exactly. No valid
+/// partition of any graph with `m` edges can cost less.
+///
+/// The dynamic program `dp(x) = min_{1 ≤ e ≤ k} dp(x − e) + ν(e)` only has
+/// to be tabulated up to `k² + k`: beyond `k²` it is periodic. Let `p*` be
+/// the smallest part size minimising `ν(e)/e`. Among any `p*` parts of
+/// other sizes, some nonempty subset sums to a multiple `t·p*` (pigeonhole
+/// on prefix sums mod `p*`), and `t` parts of size `p*` cost no more than
+/// that subset. So some optimal split has fewer than `p*` parts of other
+/// sizes, carrying at most `(p* − 1)·k < k²` edges; for `x ≥ k²` it holds
+/// a part of size `p*`, and `dp(x) = dp(x − p*) + ν(p*)`. With
+/// `q = ⌊(m − k²)/p*⌋`, `dp(m) = dp(m − q·p*) + q·ν(p*)`, and
+/// `m − q·p* < k² + p*` lies inside the table.
 pub fn clique_lower_bound(m: usize, k: usize) -> usize {
-    assert!(k > 0, "grooming factor must be positive");
-    // ν is only ever evaluated at 1..=k; tabulating it keeps the DP's
-    // inner loop to an add and a compare (this runs on every solve now
-    // that SolveStats carries the bound, including warm reconfigures).
-    let nu: Vec<usize> = (0..=k.min(m)).map(min_nodes_for_edges).collect();
-    let mut dp = vec![usize::MAX; m + 1];
-    dp[0] = 0;
-    for x in 1..=m {
-        for e in 1..=k.min(x) {
-            let cand = dp[x - e].saturating_add(nu[e]);
-            if cand < dp[x] {
-                dp[x] = cand;
+    CliqueTable::new(k, m).get(m)
+}
+
+/// The clique DP tabulated up to its periodic regime (see
+/// [`clique_lower_bound`]), answering any `m` in O(1) after an
+/// O(k³)-bounded build.
+struct CliqueTable {
+    /// `dp[x]` for `x ≤ min(max_m, k² + k)`.
+    dp: Vec<usize>,
+    /// Where the periodic regime starts: `k²`.
+    start: usize,
+    /// The best-ratio part size `p*` and its node count `ν(p*)`.
+    period: usize,
+    period_cost: usize,
+}
+
+impl CliqueTable {
+    /// Tabulates the DP for answers up to `max_m`.
+    fn new(k: usize, max_m: usize) -> Self {
+        assert!(k > 0, "grooming factor must be positive");
+        let start = k.saturating_mul(k);
+        let len = max_m.min(start.saturating_add(k));
+        // ν is only ever evaluated at 1..=k; tabulating it keeps the DP's
+        // inner loop to an add and a compare.
+        let nu: Vec<usize> = (0..=k.min(len)).map(min_nodes_for_edges).collect();
+        let mut dp = vec![usize::MAX; len + 1];
+        dp[0] = 0;
+        for x in 1..=len {
+            for e in 1..=k.min(x) {
+                let cand = dp[x - e].saturating_add(nu[e]);
+                if cand < dp[x] {
+                    dp[x] = cand;
+                }
             }
         }
+        // Smallest e minimising ν(e)/e (cross-multiplied, strict `<`).
+        // Only answers past the table need it, and then `len = k² + k`,
+        // so ν is tabulated over all of 1..=k.
+        let (mut period, mut period_cost) = (1, 2);
+        if len < max_m {
+            for (e, &c) in nu.iter().enumerate().skip(2) {
+                if c * period < period_cost * e {
+                    (period, period_cost) = (e, c);
+                }
+            }
+        }
+        CliqueTable {
+            dp,
+            start,
+            period,
+            period_cost,
+        }
     }
-    dp[m]
+
+    /// `dp(m)`; `m` must not exceed the table's `max_m`.
+    fn get(&self, m: usize) -> usize {
+        if m < self.dp.len() {
+            return self.dp[m];
+        }
+        let q = (m - self.start) / self.period;
+        self.dp[m - q * self.period] + q * self.period_cost
+    }
 }
 
 /// The degree lower bound: node `v` with degree `d` must appear in at
@@ -52,25 +108,7 @@ pub fn clique_lower_bound(m: usize, k: usize) -> usize {
 /// `Σ_v ⌈deg(v)/k⌉ ≤ cost`.
 pub fn degree_lower_bound(g: &Graph, k: usize) -> usize {
     assert!(k > 0, "grooming factor must be positive");
-    g.degrees().iter().map(|&d| d.div_ceil(k)).sum()
-}
-
-/// Number of distinct endpoint pairs among an edge list (parallel demands
-/// between the same nodes collapse to one pair). The clique bound ν counts
-/// *nodes needed for distinct adjacencies*, so on traffic multigraphs it
-/// must be fed distinct pairs, not raw edge counts — `u` parallel demands
-/// happily share two SADMs.
-fn distinct_pairs(g: &Graph, edges: &[grooming_graph::ids::EdgeId]) -> usize {
-    let mut pairs: Vec<(u32, u32)> = edges
-        .iter()
-        .map(|&e| {
-            let (u, v) = g.endpoints(e);
-            (u.0.min(v.0), u.0.max(v.0))
-        })
-        .collect();
-    pairs.sort_unstable();
-    pairs.dedup();
-    pairs.len()
+    g.nodes().map(|v| g.degree(v).div_ceil(k)).sum()
 }
 
 /// The per-component clique bound: a part's node count decomposes over the
@@ -78,12 +116,46 @@ fn distinct_pairs(g: &Graph, edges: &[grooming_graph::ids::EdgeId]) -> usize {
 /// distinct pairs it covers still have to be covered — so
 /// `Σ_c clique_lower_bound(distinct_c, k)` is a valid (and for
 /// disconnected traffic graphs strictly tighter) global bound.
+///
+/// Distinct pairs, not raw edge counts: ν counts the nodes needed for
+/// distinct adjacencies, and `u` parallel demands between the same nodes
+/// happily share two SADMs. Components come from a union-find over the
+/// edge endpoints; each node `u` then counts its distinct neighbours
+/// `v > u` with one node stamp, so every pair is counted once, at its
+/// smaller endpoint. O(n + m), no sort.
 pub fn component_lower_bound(g: &Graph, k: usize) -> usize {
-    grooming_graph::view::EdgeSubset::full(g)
-        .edge_components(g)
-        .iter()
-        .map(|comp| clique_lower_bound(distinct_pairs(g, comp), k))
-        .sum()
+    let n = g.num_nodes();
+    let mut parent: Vec<u32> = (0..n as u32).collect();
+    fn find(parent: &mut [u32], mut x: u32) -> u32 {
+        while parent[x as usize] != x {
+            let up = parent[parent[x as usize] as usize];
+            parent[x as usize] = up; // path halving
+            x = up;
+        }
+        x
+    }
+    for &(u, v) in g.edge_list() {
+        let (ru, rv) = (find(&mut parent, u.0), find(&mut parent, v.0));
+        if ru != rv {
+            parent[ru.max(rv) as usize] = ru.min(rv);
+        }
+    }
+    let mut distinct = vec![0usize; n];
+    let mut stamp = vec![u32::MAX; n];
+    for u in g.nodes() {
+        let mut count = 0;
+        for &(v, _) in g.incident(u) {
+            if v > u && stamp[v.index()] != u.0 {
+                stamp[v.index()] = u.0;
+                count += 1;
+            }
+        }
+        if count > 0 {
+            distinct[find(&mut parent, u.0) as usize] += count;
+        }
+    }
+    let table = CliqueTable::new(k, distinct.iter().copied().max().unwrap_or(0));
+    distinct.iter().map(|&d| table.get(d)).sum()
 }
 
 /// The best available lower bound for grooming `g` with factor `k`.
@@ -251,6 +323,97 @@ mod tests {
                 component_lower_bound(&g, k),
                 clique_lower_bound(g.num_edges(), k)
             );
+        }
+    }
+
+    /// The clique DP tabulated in full, with no extrapolation: the oracle
+    /// for [`CliqueTable`]'s periodic answers.
+    fn plain_clique_dp(max_m: usize, k: usize) -> Vec<usize> {
+        let nu: Vec<usize> = (0..=k).map(min_nodes_for_edges).collect();
+        let mut dp = vec![usize::MAX; max_m + 1];
+        dp[0] = 0;
+        for x in 1..=max_m {
+            for e in 1..=k.min(x) {
+                dp[x] = dp[x].min(dp[x - e] + nu[e]);
+            }
+        }
+        dp
+    }
+
+    #[test]
+    fn extrapolated_clique_bound_matches_the_plain_dp() {
+        const MAX_M: usize = 20_000;
+        for k in 1..=64usize {
+            let dp = plain_clique_dp(MAX_M, k);
+            let table = CliqueTable::new(k, MAX_M);
+            for (m, &want) in dp.iter().enumerate() {
+                assert_eq!(table.get(m), want, "m={m} k={k}");
+            }
+            // The public entry point builds its own table per call.
+            for m in [0, 1, k * k, k * k + k + 1, MAX_M] {
+                assert_eq!(clique_lower_bound(m, k), dp[m], "m={m} k={k}");
+            }
+        }
+    }
+
+    /// The sort-based per-component formulation the union-find version
+    /// replaced, kept as its oracle.
+    fn component_bound_by_sorting(g: &grooming_graph::graph::Graph, k: usize) -> usize {
+        grooming_graph::view::EdgeSubset::full(g)
+            .edge_components(g)
+            .iter()
+            .map(|comp| {
+                let mut pairs: Vec<(u32, u32)> = comp
+                    .iter()
+                    .map(|&e| {
+                        let (u, v) = g.endpoints(e);
+                        (u.0.min(v.0), u.0.max(v.0))
+                    })
+                    .collect();
+                pairs.sort_unstable();
+                pairs.dedup();
+                plain_clique_dp(pairs.len(), k)[pairs.len()]
+            })
+            .sum()
+    }
+
+    #[test]
+    fn union_find_component_bound_matches_the_sorting_oracle() {
+        use grooming_graph::ids::NodeId;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut r = StdRng::seed_from_u64(0xb0d5);
+        for case in 0..300 {
+            // Several blocks of nodes, edges only inside a block (so at
+            // least as many components as nonempty blocks), repeated pairs
+            // for parallel demands, and spare nodes left isolated.
+            let n = r.gen_range(2..60usize);
+            let blocks = r.gen_range(1..6usize);
+            let mut g = grooming_graph::graph::Graph::new(n);
+            for _ in 0..r.gen_range(0..3 * n) {
+                let b = r.gen_range(0..blocks);
+                let lo = b * n / blocks;
+                let hi = (b + 1) * n / blocks;
+                if hi - lo < 2 {
+                    continue;
+                }
+                let u = r.gen_range(lo..hi);
+                let v = r.gen_range(lo..hi);
+                if u == v {
+                    continue;
+                }
+                for _ in 0..r.gen_range(1..4) {
+                    g.add_edge(NodeId(u as u32), NodeId(v as u32));
+                }
+            }
+            for k in [1usize, 2, 3, 4, 6, 8, 16, 64] {
+                assert_eq!(
+                    component_lower_bound(&g, k),
+                    component_bound_by_sorting(&g, k),
+                    "case {case}, k {k}, n {n}, m {}",
+                    g.num_edges()
+                );
+            }
         }
     }
 

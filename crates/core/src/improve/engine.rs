@@ -43,14 +43,15 @@ pub(crate) struct Part {
 /// array stands in for the seed's per-part `vec![0; n]` count buffers).
 /// Unlike [`EdgePartition`], the lists may contain empty parts — warm
 /// repair seeds engines with vacated (possibly emptied) slots in place.
-pub(crate) fn build_parts(g: &Graph, lists: &[Vec<EdgeId>]) -> Vec<Part> {
+/// The lists are moved into the parts, not copied.
+pub(crate) fn build_parts(g: &Graph, lists: Vec<Vec<EdgeId>>) -> Vec<Part> {
     let mut mark = vec![u32::MAX; g.num_nodes()];
     lists
-        .iter()
+        .into_iter()
         .enumerate()
         .map(|(i, edges)| {
             let mut occ = Vec::new();
-            for &e in edges {
+            for &e in &edges {
                 let (u, v) = g.endpoints(e);
                 for z in [u, v] {
                     if mark[z.index()] != i as u32 {
@@ -59,10 +60,7 @@ pub(crate) fn build_parts(g: &Graph, lists: &[Vec<EdgeId>]) -> Vec<Part> {
                     }
                 }
             }
-            Part {
-                edges: edges.clone(),
-                occ,
-            }
+            Part { edges, occ }
         })
         .collect()
 }
@@ -86,10 +84,10 @@ fn pair_delta(ea: EdgeInfo, fb: EdgeInfo) -> i32 {
         + cv * ((v != x) & (v != y)) as i32
 }
 
-/// Dense-incidence budget: above this many `W · n` entries (2²² u32s,
-/// 16 MiB) the engine switches to the sparse per-part representation. At
+/// Dense-incidence budget: above this many `W · n` entries (2²² u16s,
+/// 8 MiB) the engine switches to the sparse per-part representation. At
 /// the million-edge tier (`n = 10⁵`, `W ≈ m/k`) the dense matrix would be
-/// tens of gigabytes; below the threshold dense wins on constant factors.
+/// gigabytes; below the threshold dense wins on constant factors.
 const DENSE_INCIDENCE_MAX: usize = 1 << 22;
 
 /// How the engine stores incidence counts. `Auto` applies the
@@ -105,12 +103,14 @@ pub(crate) enum IncidenceMode {
 /// Per-part node incidence counts, dense or sparse.
 ///
 /// Dense is the original flat `W × n` matrix (O(1) lookups, O(W·n)
-/// memory). Sparse keeps one `(node, count)` row per part; a part holds at
-/// most `k` edges, so rows have ≤ 2k entries and lookups are O(k) scans —
-/// independent of `n`. Both answer exactly the same counts, so every
-/// consumer is bit-identical across representations.
+/// memory), held as `u16`: a node's count in a part never exceeds its
+/// degree, so dense is chosen only for graphs with `Δ ≤ u16::MAX`. Sparse
+/// keeps one `(node, count)` row per part; a part holds at most `k` edges,
+/// so rows have ≤ 2k entries and lookups are O(k) scans — independent of
+/// `n`. Both answer exactly the same counts, so every consumer is
+/// bit-identical across representations.
 enum Incidence {
-    Dense(Vec<u32>),
+    Dense(Vec<u16>),
     Sparse(Vec<Vec<(u32, u32)>>),
 }
 
@@ -118,7 +118,7 @@ impl Incidence {
     #[inline]
     fn get(&self, n: usize, p: usize, x: NodeId) -> u32 {
         match self {
-            Incidence::Dense(cnt) => cnt[p * n + x.index()],
+            Incidence::Dense(cnt) => cnt[p * n + x.index()] as u32,
             Incidence::Sparse(rows) => rows[p]
                 .iter()
                 .find(|&&(nd, _)| nd == x.0)
@@ -133,7 +133,7 @@ impl Incidence {
             Incidence::Dense(cnt) => {
                 let slot = &mut cnt[p * n + x.index()];
                 *slot += 1;
-                *slot
+                *slot as u32
             }
             Incidence::Sparse(rows) => {
                 let row = &mut rows[p];
@@ -158,7 +158,7 @@ impl Incidence {
             Incidence::Dense(cnt) => {
                 let slot = &mut cnt[p * n + x.index()];
                 *slot -= 1;
-                *slot
+                *slot as u32
             }
             Incidence::Sparse(rows) => {
                 let row = &mut rows[p];
@@ -242,8 +242,19 @@ pub(crate) struct Engine<'g> {
     info_b: Vec<EdgeInfo>,
     neg_b: Vec<u32>,
     rot_buf: Vec<EdgeId>,
+    /// Edge-set change clock: `changed_at[p]` is the tick of the last
+    /// edge added to or removed from part `p` (0: never since ingest).
+    /// Rotations and trial permutations reorder edges without changing the
+    /// set, so they do not tick.
+    clock: u64,
+    changed_at: Vec<u64>,
+    /// Per swap-sweep row `a`: `(tick, bound)` of its last scan — every
+    /// partner below `bound` provably missed against the edge sets as of
+    /// `tick` (see [`Self::swap_sweep`]). `bound == 0` records nothing.
+    row_scan: Vec<(u64, u32)>,
     /// Candidate swap evaluations performed (instrumentation; never read
-    /// by the search itself, so it cannot affect outputs).
+    /// by the search itself, so it cannot affect outputs). Pairs skipped
+    /// as provable misses are not evaluated, so they add nothing.
     pub swaps_evaluated: u64,
 }
 
@@ -253,25 +264,39 @@ impl<'g> Engine<'g> {
     }
 
     pub fn with_mode(g: &'g Graph, partition: &EdgePartition, mode: IncidenceMode) -> Self {
-        Self::from_lists(g, partition.parts(), mode)
+        Self::from_lists(g, partition.parts().to_vec(), mode)
     }
 
     /// Builds an engine from raw edge lists, which — unlike an
     /// [`EdgePartition`] — may contain empty parts. Warm repair uses this
     /// to ingest a prior plan with removed edges already vacated and spare
     /// slots appended for the first-fit placement of added edges.
-    pub fn from_lists(g: &'g Graph, lists: &[Vec<EdgeId>], mode: IncidenceMode) -> Self {
+    pub fn from_lists(g: &'g Graph, lists: Vec<Vec<EdgeId>>, mode: IncidenceMode) -> Self {
         let parts = build_parts(g, lists);
         let n = g.num_nodes();
+        let counts_fit_u16 = g.max_degree() <= u16::MAX as usize;
         let dense = match mode {
-            IncidenceMode::Auto => parts.len().saturating_mul(n) <= DENSE_INCIDENCE_MAX,
-            IncidenceMode::ForceDense => true,
+            IncidenceMode::Auto => {
+                counts_fit_u16 && parts.len().saturating_mul(n) <= DENSE_INCIDENCE_MAX
+            }
+            IncidenceMode::ForceDense => {
+                assert!(
+                    counts_fit_u16,
+                    "dense incidence needs max degree ≤ u16::MAX"
+                );
+                true
+            }
             IncidenceMode::ForceSparse => false,
         };
         let mut inc = if dense {
-            Incidence::Dense(vec![0u32; parts.len() * n])
+            Incidence::Dense(vec![0u16; parts.len() * n])
         } else {
-            Incidence::Sparse(vec![Vec::new(); parts.len()])
+            Incidence::Sparse(
+                parts
+                    .iter()
+                    .map(|p| Vec::with_capacity(p.occ.len()))
+                    .collect(),
+            )
         };
         let mut edge_pos = vec![0u32; g.num_edges()];
         let mut at_node: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -286,6 +311,7 @@ impl<'g> Engine<'g> {
                 at_node[x.index()].push(i as u32);
             }
         }
+        let w = parts.len();
         Engine {
             g,
             n,
@@ -297,6 +323,9 @@ impl<'g> Engine<'g> {
             info_b: Vec::new(),
             neg_b: Vec::new(),
             rot_buf: Vec::new(),
+            clock: 0,
+            changed_at: vec![0; w],
+            row_scan: vec![(0, 0); w],
             swaps_evaluated: 0,
         }
     }
@@ -335,10 +364,12 @@ impl<'g> Engine<'g> {
                 self.vacate(a, x);
             }
         }
+        self.stamp(a);
     }
 
     /// Appends `e` to part `a` (vector effect: `push`, as in the seed).
     pub fn add_edge_to(&mut self, a: usize, e: EdgeId) {
+        self.stamp(a);
         let (u, v) = self.g.endpoints(e);
         for x in [u, v] {
             if self.inc.inc(self.n, a, x) == 1 {
@@ -348,6 +379,12 @@ impl<'g> Engine<'g> {
         }
         self.edge_pos[e.index()] = self.parts[a].edges.len() as u32;
         self.parts[a].edges.push(e);
+    }
+
+    /// Records that part `a`'s edge set changed.
+    fn stamp(&mut self, a: usize) {
+        self.clock += 1;
+        self.changed_at[a] = self.clock;
     }
 
     fn vacate(&mut self, a: usize, x: NodeId) {
@@ -490,25 +527,25 @@ impl<'g> Engine<'g> {
         best
     }
 
-    /// Runs the seed's full swap scan for the pair `(a, b)` without mutating
-    /// anything until the outcome is known. Applies the first improving swap
-    /// and returns `true`, else `false`. Zero allocations after warm-up.
+    /// Scans the swap combinations of the pair `(a, b)` in the seed's order
+    /// — rows over `a`'s edges, columns over `b`'s — and returns the first
+    /// `(i, j)` whose swap strictly improves and that `accept` takes, or
+    /// `None`. Mutation-free; leaves each edge's contribution terms in
+    /// `info_a`/`info_b` for the caller's replay.
     ///
     /// Counts are static while a pair is scanned (rejected trials cancel),
     /// so each edge's delta contribution is precomputed once; a candidate
-    /// pair then costs a few comparisons. Rows whose `a`-edge has no
+    /// combination then costs a few comparisons. Rows whose `a`-edge has no
     /// negative contribution can only improve against the (usually few)
     /// `b`-edges that do (`neg_b`) — skipped combinations provably have
     /// `delta ≥ 0`, so the first improving combination found is the same
-    /// one the seed's exhaustive scan finds. On a miss the seed's
-    /// rejected-trial permutations are applied as one closed-form rotation
-    /// per part; on a hit they are replayed only up to the hit.
-    pub fn swap_pass_pair(&mut self, a: usize, b: usize) -> bool {
-        let la = self.parts[a].edges.len();
-        let lb = self.parts[b].edges.len();
-        if la == 0 || lb == 0 {
-            return false; // no combinations: the seed permutes nothing
-        }
+    /// one an exhaustive scan finds.
+    fn scan_pair(
+        &mut self,
+        a: usize,
+        b: usize,
+        mut accept: impl FnMut(&Self, EdgeId, EdgeId) -> bool,
+    ) -> Option<(usize, usize)> {
         let mut info_a = std::mem::take(&mut self.info_a);
         let mut info_b = std::mem::take(&mut self.info_b);
         let mut neg_b = std::mem::take(&mut self.neg_b);
@@ -531,51 +568,66 @@ impl<'g> Engine<'g> {
             }
         }
 
-        // The scan proper: snapshot order, first improving combination wins.
         let mut hit: Option<(usize, usize)> = None;
         'rows: for (i, &ea) in info_a.iter().enumerate() {
             let (_, _, _, cu, cv) = ea;
             if cu < 0 || cv < 0 {
                 for (j, &fb) in info_b.iter().enumerate() {
                     self.swaps_evaluated += 1;
-                    if pair_delta(ea, fb) < 0 {
+                    if pair_delta(ea, fb) < 0 && accept(self, ea.0, fb.0) {
                         hit = Some((i, j));
                         break 'rows;
                     }
                 }
             } else {
                 for &j in &neg_b {
+                    let fb = info_b[j as usize];
                     self.swaps_evaluated += 1;
-                    if pair_delta(ea, info_b[j as usize]) < 0 {
+                    if pair_delta(ea, fb) < 0 && accept(self, ea.0, fb.0) {
                         hit = Some((i, j as usize));
                         break 'rows;
                     }
                 }
             }
         }
+        self.info_a = info_a;
+        self.info_b = info_b;
+        self.neg_b = neg_b;
+        hit
+    }
 
-        let applied = match hit {
+    /// Runs the seed's full swap scan for the pair `(a, b)` without mutating
+    /// anything until the outcome is known ([`Self::scan_pair`]). Applies
+    /// the first improving swap and returns `true`, else `false`. Zero
+    /// allocations after warm-up. On a miss the seed's rejected-trial
+    /// permutations are applied as one closed-form rotation per part; on a
+    /// hit they are replayed only up to the hit.
+    pub fn swap_pass_pair(&mut self, a: usize, b: usize) -> bool {
+        let la = self.parts[a].edges.len();
+        if la == 0 || self.parts[b].edges.is_empty() {
+            return false; // no combinations: the seed permutes nothing
+        }
+        match self.scan_pair(a, b, |_, _, _| true) {
             Some((i, j)) => {
                 // Replay the rejected-trial permutations that preceded the
                 // hit: full rows `0..i` (each moves its `a`-edge to the back
                 // once and cycles `b` through one full round), then the
                 // partial row up to column `j`.
-                for &(er, ..) in info_a.iter().take(i) {
+                for r in 0..i {
+                    let er = self.info_a[r].0;
                     self.trial_permute(a, er);
                 }
                 self.rotate_first(b, i);
-                let e = info_a[i].0;
-                let f = info_b[j].0;
+                let e = self.info_a[i].0;
+                let f = self.info_b[j].0;
                 if j > 0 {
                     self.trial_permute(a, e);
-                    for &(fr, ..) in &info_b[..j] {
+                    for c in 0..j {
+                        let fr = self.info_b[c].0;
                         self.trial_permute(b, fr);
                     }
                 }
-                self.remove_edge_from(a, e);
-                self.remove_edge_from(b, f);
-                self.add_edge_to(a, f);
-                self.add_edge_to(b, e);
+                self.apply_swap(a, b, e, f);
                 true
             }
             None => {
@@ -585,31 +637,63 @@ impl<'g> Engine<'g> {
                 self.rotate_first(b, la);
                 false
             }
-        };
-        self.info_a = info_a;
-        self.info_b = info_b;
-        self.neg_b = neg_b;
-        applied
+        }
+    }
+
+    /// Exchanges `e` (in part `a`) with `f` (in part `b`), with the seed's
+    /// vector effect: remove both, then append each to the other part.
+    pub fn apply_swap(&mut self, a: usize, b: usize, e: EdgeId, f: EdgeId) {
+        self.remove_edge_from(a, e);
+        self.remove_edge_from(b, f);
+        self.add_edge_to(a, f);
+        self.add_edge_to(b, e);
+    }
+
+    /// `true` if some node held by both parts is a *leaf* (count 1) in
+    /// either — the necessary condition for the pair to have any improving
+    /// swap. A swap term `[cnt_b(u) = 0] − [cnt_a(u) = 1]` is negative only
+    /// when `u` is held by both parts and is a leaf in `a` (symmetrically
+    /// for the `b`-side terms), so without such a node every term is
+    /// non-negative and no combination can improve. O(k) dense, O(k²)
+    /// sparse.
+    pub fn shares_leaf(&self, a: usize, b: usize) -> bool {
+        self.parts[a].occ.iter().any(|&x| {
+            let cb = self.cnt_of(b, x);
+            cb == 1 || (cb > 1 && self.cnt_of(a, x) == 1)
+        })
     }
 
     /// One full swap phase — the all-pairs `(a, b)` sweep of the reference,
-    /// restricted to *candidate* pairs found through the `at_node` inverted
-    /// index. Returns `true` if any swap was applied.
+    /// restricted to pairs that can still improve. Returns `true` if any
+    /// swap was applied.
     ///
-    /// An improving combination needs a negative contribution term, and
-    /// `(cnt_b(u) == 0) − (cnt_a(u) == 1) < 0` forces `u` to be occupied by
-    /// *both* parts; likewise for the `b`-side terms. So pairs sharing no
-    /// occupied node are guaranteed misses with zero evaluated combinations
-    /// (every row of the scan has only non-negative `a`-contributions and
-    /// an empty `neg_b`). They still matter to bit-identity, though: a
-    /// missed pair rotates both edge vectors (`rotate_first(a, 1)`,
-    /// `rotate_first(b, la)`). Those rotations are replayed exactly but
-    /// lazily — part lengths are constant across the phase (hits exchange
-    /// edges 1:1), rotations on one part compose additively, so skipped
-    /// pairs' effects accumulate in a Fenwick tree (`b`-side) and nonempty
-    /// prefix counts (`a`-side) and are flushed before any part is next
-    /// read. The result (partitions *and* `swaps_evaluated`) is
-    /// bit-identical to the reference's all-pairs sweep.
+    /// Two exact filters pick the partners of row `a`:
+    ///
+    /// * **Shared leaf.** An improving combination needs a negative
+    ///   contribution term, and `(cnt_b(u) == 0) − (cnt_a(u) == 1) < 0`
+    ///   forces `u` to be held by *both* parts and to be a leaf (count 1) in
+    ///   `a`; likewise for the `b`-side terms. So only partners holding some
+    ///   node of `a` that is a leaf in one of the two parts are candidates
+    ///   (found through the `at_node` inverted index); every other pair is a
+    ///   guaranteed miss that evaluates zero combinations.
+    /// * **Clean pair.** Whether a pair has an improving swap depends only
+    ///   on the two parts' edge *sets*, not on edge order. Each row records
+    ///   the clock and the partner bound of its last scan (every partner
+    ///   below the hit — or all of them on a full miss — missed); a partner
+    ///   below that bound is skipped while neither part's set has changed
+    ///   since. The first sweep after ingest has no records, so it scans
+    ///   exactly what the shared-leaf filter keeps.
+    ///
+    /// Skipped pairs still matter to bit-identity: a missed pair rotates
+    /// both edge vectors (`rotate_first(a, 1)`, `rotate_first(b, la)`).
+    /// Those rotations are replayed exactly but lazily — part lengths are
+    /// constant across the phase (hits exchange edges 1:1), rotations on one
+    /// part compose additively, so skipped pairs' effects accumulate in a
+    /// Fenwick tree (`b`-side) and nonempty prefix counts (`a`-side) and are
+    /// flushed before any part is next read. The partitions are
+    /// bit-identical to the reference's all-pairs sweep; `swaps_evaluated`
+    /// matches it on the first sweep and falls below it afterwards, since
+    /// clean pairs are not re-evaluated.
     pub fn swap_sweep(&mut self) -> bool {
         let w = self.parts.len();
         if w < 2 {
@@ -640,11 +724,22 @@ impl<'g> Engine<'g> {
             if la == 0 {
                 continue; // every pair (a, ·) is a complete no-op
             }
-            // Candidate partners: parts above `a` sharing an occupied node.
+            // Partners below `bound` missed at `tick`; while both sets are
+            // unchanged since, they miss again.
+            let (tick, bound) = self.row_scan[a];
+            let clean_a = self.changed_at[a] <= tick;
+            let row_tick = self.clock;
+            // Candidate partners: parts above `a` sharing a node that is a
+            // leaf in `a` or in the partner, minus clean pairs.
             cands.clear();
             for &x in &self.parts[a].occ {
+                let leaf_a = self.cnt_of(a, x) == 1;
                 for &p in &self.at_node[x.index()] {
-                    if p as usize > a && !self.parts[p as usize].edges.is_empty() {
+                    let b = p as usize;
+                    if b > a
+                        && (leaf_a || self.cnt_of(b, x) == 1)
+                        && !(clean_a && p < bound && self.changed_at[b] <= tick)
+                    {
                         cands.push(p);
                     }
                 }
@@ -680,6 +775,10 @@ impl<'g> Engine<'g> {
                 prev = b;
             }
 
+            // No set changed before the hit (misses only reorder edges), so
+            // every partner below it missed against the sets as of
+            // `row_tick`.
+            self.row_scan[a] = (row_tick, hit_at.unwrap_or(w) as u32);
             match hit_at {
                 // Hit: the reference aborts the row (`continue 'swaps`), so
                 // only partners strictly below the hit owe the deferred
@@ -757,12 +856,13 @@ impl<'g> Engine<'g> {
         churn
     }
 
-    /// Places an unassigned edge by the online first-fit-with-affinity
-    /// rule: among parts with spare capacity, the lowest-indexed one
-    /// introducing the fewest new nodes (parts already holding an endpoint
-    /// are found through `at_node`, so the lookup touches only those); with
-    /// no affinity candidate, the lowest-indexed part with space. Returns
-    /// the receiving part.
+    /// Places an unassigned edge first-fit with affinity: among parts with
+    /// spare capacity, the lowest-indexed one introducing the fewest new
+    /// nodes (parts already holding an endpoint are found through
+    /// `at_node`, so the lookup touches only those); with no affinity
+    /// candidate, the lowest-indexed part with space. Unlike the online
+    /// groomer, ties never go to the fullest part. Returns the receiving
+    /// part.
     ///
     /// # Panics
     /// Panics if every part is at capacity `k` — warm repair sizes the
@@ -799,31 +899,138 @@ impl<'g> Engine<'g> {
     /// aborted on), debits the budget, and returns the churn spent; `None`
     /// if no affordable improving swap exists.
     ///
-    /// Unlike [`Self::swap_pass_pair`] this performs no trial permutations
-    /// or rotations — warm starts carry no bit-identity contract against
-    /// the reference sweep, so the bookkeeping that exists only to replay
-    /// the seed's rejected-trial vector effects is dropped.
+    /// The scan is [`Self::scan_pair`]'s: the same `(i, j)` order as an
+    /// exhaustive double loop over both edge vectors, with each edge's
+    /// contribution precomputed once, so it picks the same swap that loop
+    /// would. Unlike [`Self::swap_pass_pair`] this performs no trial
+    /// permutations or rotations — warm starts carry no bit-identity
+    /// contract against the reference sweep, so the bookkeeping that exists
+    /// only to replay the seed's rejected-trial vector effects is dropped.
     pub fn repair_pair(&mut self, a: usize, b: usize, budget: &mut Option<usize>) -> Option<usize> {
-        for i in 0..self.parts[a].edges.len() {
-            let e = self.parts[a].edges[i];
-            for j in 0..self.parts[b].edges.len() {
-                let f = self.parts[b].edges[j];
-                if self.swap_delta(a, b, e, f) < 0 {
-                    let churn = self.swap_churn(a, b, e, f);
+        let left = *budget;
+        let mut churn = 0;
+        let (i, j) = self.scan_pair(a, b, |eng, e, f| {
+            churn = eng.swap_churn(a, b, e, f);
+            left.is_none_or(|l| churn <= l)
+        })?;
+        if let Some(l) = budget.as_mut() {
+            *l -= churn;
+        }
+        let (e, f) = (self.info_a[i].0, self.info_b[j].0);
+        self.apply_swap(a, b, e, f);
+        Some(churn)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use grooming_graph::generators;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+
+    /// The exhaustive double loop [`Engine::repair_pair`] replaced: every
+    /// `(i, j)` in edge-vector order, one closed-form [`Engine::swap_delta`]
+    /// per combination, the first affordable improving swap wins.
+    fn repair_pair_oracle(
+        eng: &mut Engine,
+        a: usize,
+        b: usize,
+        budget: &mut Option<usize>,
+    ) -> Option<usize> {
+        for i in 0..eng.parts[a].edges.len() {
+            let e = eng.parts[a].edges[i];
+            for j in 0..eng.parts[b].edges.len() {
+                let f = eng.parts[b].edges[j];
+                if eng.swap_delta(a, b, e, f) < 0 {
+                    let churn = eng.swap_churn(a, b, e, f);
                     if budget.is_some_and(|left| churn > left) {
                         continue;
                     }
                     if let Some(left) = budget.as_mut() {
                         *left -= churn;
                     }
-                    self.remove_edge_from(a, e);
-                    self.remove_edge_from(b, f);
-                    self.add_edge_to(a, f);
-                    self.add_edge_to(b, e);
+                    eng.apply_swap(a, b, e, f);
                     return Some(churn);
                 }
             }
         }
         None
+    }
+
+    #[test]
+    fn repair_pair_picks_the_exhaustive_scans_swap() {
+        for seed in 0..12u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = if seed % 2 == 0 {
+                generators::gnm(24, 90, &mut rng)
+            } else {
+                generators::power_law(60, 2.5, 6.0, &mut rng)
+            };
+            let k = [3usize, 4, 8][seed as usize % 3];
+            // A random (hence poor) partition, so most pairs can improve.
+            let mut edges: Vec<EdgeId> = g.edges().collect();
+            edges.shuffle(&mut rng);
+            let lists: Vec<Vec<EdgeId>> = edges.chunks(k).map(<[EdgeId]>::to_vec).collect();
+            let w = lists.len();
+            for budget in [None, Some(0), Some(2), Some(8)] {
+                let mut fast = Engine::from_lists(&g, lists.clone(), IncidenceMode::Auto);
+                let mut slow = Engine::from_lists(&g, lists.clone(), IncidenceMode::Auto);
+                let (mut left_fast, mut left_slow) = (budget, budget);
+                let mut swaps = 0;
+                for a in 0..w {
+                    for b in (0..w).filter(|&b| b != a) {
+                        loop {
+                            let got = fast.repair_pair(a, b, &mut left_fast);
+                            let want = repair_pair_oracle(&mut slow, a, b, &mut left_slow);
+                            assert_eq!(
+                                got, want,
+                                "seed {seed}, budget {budget:?}, pair ({a}, {b})"
+                            );
+                            assert_eq!(left_fast, left_slow);
+                            assert_eq!(fast.parts[a].edges, slow.parts[a].edges);
+                            assert_eq!(fast.parts[b].edges, slow.parts[b].edges);
+                            if got.is_none() {
+                                break;
+                            }
+                            swaps += 1;
+                        }
+                    }
+                }
+                if budget != Some(0) {
+                    assert!(swaps > 0, "seed {seed}: the instance exercised no swap");
+                }
+                assert_eq!(fast.cost(), slow.cost());
+            }
+        }
+    }
+
+    #[test]
+    fn shares_leaf_is_necessary_for_an_improving_swap() {
+        // Every pair with an improving combination shares a leaf node.
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = generators::power_law(80, 2.5, 6.0, &mut rng);
+            let mut edges: Vec<EdgeId> = g.edges().collect();
+            edges.shuffle(&mut rng);
+            let lists: Vec<Vec<EdgeId>> = edges.chunks(5).map(<[EdgeId]>::to_vec).collect();
+            let mut eng = Engine::from_lists(&g, lists, IncidenceMode::ForceSparse);
+            let w = eng.parts.len();
+            for a in 0..w {
+                for b in (0..w).filter(|&b| b != a) {
+                    let improving = eng.parts[a].edges.clone().into_iter().any(|e| {
+                        eng.parts[b]
+                            .edges
+                            .clone()
+                            .into_iter()
+                            .any(|f| eng.swap_delta(a, b, e, f) < 0)
+                    });
+                    if improving {
+                        assert!(eng.shares_leaf(a, b), "pair ({a}, {b})");
+                    }
+                }
+            }
+        }
     }
 }

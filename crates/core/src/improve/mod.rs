@@ -168,7 +168,9 @@ pub struct RepairReport {
     /// mandatory and does not count; [`warm_repair`]'s `rearrange_budget`
     /// bounds exactly this quantity.
     pub sadms_moved: u64,
-    /// Candidate swaps the restricted sweep evaluated.
+    /// Candidate swaps the restricted sweep evaluated. Swaps it skips as
+    /// provable misses are not counted: pairs sharing no leaf node, and
+    /// combinations with no negative contribution term.
     pub swaps_evaluated: u64,
 }
 
@@ -180,8 +182,10 @@ pub struct RepairReport {
 /// (parts may be empty; `vacated_parts` names the ones that lost edges)
 /// and `added` lists the edges of `g` that `seed_parts` does not place.
 /// The engine ingests the seed directly into its incremental state, places
-/// each added edge by the online first-fit-with-affinity rule, then
-/// locally re-optimizes — single-edge moves and pairwise swaps restricted
+/// each added edge in the part with spare capacity that gains the fewest
+/// new nodes, ties to the lowest index (so when no part with space holds an
+/// endpoint, the lowest-indexed part with space takes it), then locally
+/// re-optimizes — single-edge moves and pairwise swaps restricted
 /// to *dirty* parts (touched by the delta or by a previous repair move)
 /// and their node-sharing neighbors, for at most `max_rounds` rounds.
 ///
@@ -220,8 +224,7 @@ pub fn warm_repair(
     let mut lists: Vec<Vec<EdgeId>> = Vec::with_capacity(needed);
     lists.extend(seed_parts.iter().cloned());
     lists.resize(needed, Vec::new());
-    let mut eng = Engine::from_lists(g, &lists, IncidenceMode::Auto);
-    drop(lists);
+    let mut eng = Engine::from_lists(g, lists, IncidenceMode::Auto);
 
     let w = eng.parts.len();
     let mut touched = vec![false; w]; // everything the repair laid hands on
@@ -300,13 +303,18 @@ pub fn warm_repair(
 
         // Pairwise swaps between each dirty part and its node-sharing
         // neighbors; each application strictly reduces cost, so the inner
-        // loop terminates.
+        // loop terminates. A pair with no shared leaf has no improving
+        // swap; the test runs at each visit because part `a` changes
+        // between partners.
         for &a in &dirty {
             let a = a as usize;
             eng.partners_sharing_nodes(a, &mut partners);
             for &bp in &partners {
                 let b = bp as usize;
-                while let Some(churn) = eng.repair_pair(a, b, &mut budget) {
+                while eng.shares_leaf(a, b) {
+                    let Some(churn) = eng.repair_pair(a, b, &mut budget) else {
+                        break;
+                    };
                     moved += churn as u64;
                     improved = true;
                     for p in [a, b] {
@@ -348,7 +356,7 @@ pub fn warm_repair(
 /// [`reference::merge_parts`].
 pub fn merge_parts(g: &Graph, k: usize, partition: &EdgePartition) -> EdgePartition {
     assert!(k > 0, "grooming factor must be positive");
-    let mut parts = build_parts(g, partition.parts());
+    let mut parts = build_parts(g, partition.parts().to_vec());
     let w0 = parts.len();
 
     if w0 >= 2 {
@@ -516,12 +524,7 @@ pub fn anneal<R: Rng>(
                 eng.remove_edge_from(a, e);
                 eng.add_edge_to(b, e);
             }
-            Move::Swap(e, f) => {
-                eng.remove_edge_from(a, e);
-                eng.remove_edge_from(b, f);
-                eng.add_edge_to(a, f);
-                eng.add_edge_to(b, e);
-            }
+            Move::Swap(e, f) => eng.apply_swap(a, b, e, f),
         }
         cost += delta;
         if cost < best_cost {
@@ -652,6 +655,37 @@ mod tests {
                 );
                 assert_eq!(dense.parts(), refine(&g, k, &base, 8).parts());
             }
+        }
+        for n in [120usize, 240] {
+            let g = generators::power_law(n, 2.5, 6.0, &mut rng(n as u64));
+            for k in [4usize, 16] {
+                let base = spant_euler(&g, k, TreeStrategy::Dfs, &mut rng(3));
+                let dense = refine_forced_incidence(&g, k, &base, 8, false);
+                let sparse = refine_forced_incidence(&g, k, &base, 8, true);
+                assert_eq!(dense.parts(), sparse.parts(), "power_law n {n}, k {k}");
+                assert_eq!(dense.parts(), refine(&g, k, &base, 8).parts());
+            }
+        }
+    }
+
+    #[test]
+    fn filtered_sweep_evaluates_fewer_swaps_only_after_round_zero() {
+        // ring-powerlaw's 2000-node class. The shared-leaf filter skips only
+        // pairs that evaluate nothing, and the clean-pair skip has no scan
+        // records in round 0, so one round evaluates exactly what the
+        // unfiltered all-pairs sweep did (91,791 / 91,817); later rounds
+        // skip clean pairs (the unfiltered sweep: 867,023 / 877,912 over
+        // 8 rounds) and land on the same costs.
+        for (seed, round0, unfiltered8, cost8) in [
+            (1u64, 91_791u64, 867_023u64, 6125usize),
+            (2, 91_817, 877_912, 6294),
+        ] {
+            let g = generators::power_law(2000, 2.5, 6.0, &mut rng(seed));
+            let base = spant_euler(&g, 16, TreeStrategy::Bfs, &mut rng(seed));
+            assert_eq!(refine_with_stats(&g, 16, &base, 1).1, round0, "seed {seed}");
+            let (refined, swaps) = refine_with_stats(&g, 16, &base, 8);
+            assert!(swaps < unfiltered8, "seed {seed}: {swaps} swaps");
+            assert_eq!(refined.sadm_cost(&g), cost8, "seed {seed}");
         }
     }
 

@@ -75,12 +75,23 @@ impl EdgePartition {
         self.parts.iter().map(Vec::len).sum()
     }
 
-    /// The SADM cost `Σ_i |V_i|` against the parent graph.
+    /// The SADM cost `Σ_i |V_i|` against the parent graph: one node stamp
+    /// shared by every part, so the whole count is one pass over the edges.
     pub fn sadm_cost(&self, g: &Graph) -> usize {
-        self.parts
-            .iter()
-            .map(|p| EdgeSubset::from_edges(g, p.iter().copied()).touched_node_count(g))
-            .sum()
+        let mut mark = vec![u32::MAX; g.num_nodes()];
+        let mut cost = 0;
+        for (i, part) in self.parts.iter().enumerate() {
+            for &e in part {
+                let (u, v) = g.endpoints(e);
+                for z in [u, v] {
+                    if mark[z.index()] != i as u32 {
+                        mark[z.index()] = i as u32;
+                        cost += 1;
+                    }
+                }
+            }
+        }
+        cost
     }
 
     /// Per-part `(edges, touched nodes)` statistics.

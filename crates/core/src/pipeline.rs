@@ -78,16 +78,16 @@ pub(crate) fn assemble(
         .validate(Some(demands))
         .expect("a valid k-edge partition always fits the ring");
 
-    // Cross-check the two cost models.
+    // Cross-check the two cost models. The report's total is the ring-side
+    // Σ|adm_nodes| (what `sadm_count` would recount in a second pass).
+    let report = assignment.report();
     let graph_cost = partition.sadm_cost(g);
-    let ring_cost = assignment.sadm_count();
     assert_eq!(
-        graph_cost, ring_cost,
+        graph_cost, report.sadm_total,
         "graph-side and ring-side SADM accounting must agree"
     );
     assert_eq!(partition.num_wavelengths(), assignment.num_wavelengths());
 
-    let report = assignment.report();
     GroomingOutcome {
         partition,
         assignment,

@@ -98,6 +98,10 @@ pub struct SolveStats {
     /// a portfolio solve; one per single-algorithm solve).
     pub attempts: u64,
     /// Candidate swaps evaluated by the local-search refinement engine.
+    /// Swaps it skips as provable misses are not counted: pairs sharing no
+    /// leaf node, and pairs whose edge sets are unchanged since a scan in
+    /// an earlier refine round found nothing. Write-only: it never feeds
+    /// back into a plan.
     pub swaps_evaluated: u64,
     /// Generation-stamped scratch-buffer resets performed by the
     /// construction pipeline (see

@@ -46,6 +46,23 @@ fn refine_matches_reference_bit_for_bit() {
             );
         }
     }
+    // Hub-heavy Chung–Lu inputs: the shape where the sweep's shared-leaf
+    // and clean-pair filters skip the most pairs.
+    for n in [120usize, 240] {
+        for k in [4usize, 16] {
+            for seed in 0..2u64 {
+                let g = generators::power_law(n, 2.5, 6.0, &mut rng(seed));
+                let base = spant_euler(&g, k, TreeStrategy::Bfs, &mut rng(seed ^ 0xabc));
+                let fast = improve::refine(&g, k, &base, 8);
+                let slow = reference::refine(&g, k, &base, 8);
+                assert_eq!(
+                    fast.parts(),
+                    slow.parts(),
+                    "refine diverged on power_law n={n} k={k} seed={seed}"
+                );
+            }
+        }
+    }
 }
 
 #[test]

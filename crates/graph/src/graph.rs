@@ -56,9 +56,41 @@ impl Graph {
     /// # Panics
     /// Panics if any endpoint is out of range or a pair is a self-loop.
     pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
-        let mut g = Graph::new(n);
-        for &(u, v) in edges {
-            g.add_edge(NodeId(u), NodeId(v));
+        Self::from_endpoints(n, edges.iter().map(|&(u, v)| (NodeId(u), NodeId(v))))
+    }
+
+    /// Creates a graph with `n` nodes and the given endpoint pairs, each
+    /// adjacency list allocated once at its final size: a first pass
+    /// counts degrees, a second adds the edges in order, so ids and
+    /// [`Graph::incident`] order equal those of one [`Graph::add_edge`]
+    /// call per pair.
+    ///
+    /// # Panics
+    /// Panics if any endpoint is out of range or a pair is a self-loop.
+    pub fn from_endpoints<I>(n: usize, pairs: I) -> Self
+    where
+        I: IntoIterator<Item = (NodeId, NodeId)>,
+        I::IntoIter: Clone,
+    {
+        let pairs = pairs.into_iter();
+        let mut degree = vec![0usize; n];
+        let mut m = 0;
+        for (u, v) in pairs.clone() {
+            m += 1;
+            // Out-of-range endpoints are left to `add_edge` to report.
+            for x in [u, v] {
+                if let Some(d) = degree.get_mut(x.index()) {
+                    *d += 1;
+                }
+            }
+        }
+        let mut g = Graph {
+            endpoints: Vec::with_capacity(m),
+            adj: degree.into_iter().map(Vec::with_capacity).collect(),
+            csr: OnceLock::new(),
+        };
+        for (u, v) in pairs {
+            g.add_edge(u, v);
         }
         g
     }
@@ -295,6 +327,28 @@ mod tests {
 
     fn triangle() -> Graph {
         Graph::from_edges(3, &[(0, 1), (1, 2), (2, 0)])
+    }
+
+    #[test]
+    fn from_endpoints_matches_incremental_construction() {
+        // Parallel edges, a hub and an isolated node (5).
+        let pairs = [(0, 1), (2, 0), (0, 1), (3, 0), (4, 2), (1, 4), (0, 4)];
+        let mut by_add = Graph::new(6);
+        for &(u, v) in &pairs {
+            by_add.add_edge(NodeId(u), NodeId(v));
+        }
+        let built = Graph::from_endpoints(6, pairs.iter().map(|&(u, v)| (NodeId(u), NodeId(v))));
+        assert_eq!(built.edge_list(), by_add.edge_list());
+        for v in by_add.nodes() {
+            assert_eq!(built.incident(v), by_add.incident(v));
+            assert_eq!(built.incident(v).len(), built.adj[v.index()].capacity());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn from_endpoints_rejects_out_of_range_endpoints() {
+        let _ = Graph::from_edges(2, &[(0, 1), (1, 2)]);
     }
 
     #[test]

@@ -144,11 +144,7 @@ impl DemandSet {
     /// `i` corresponds to `pairs()[i]`, so partition parts translate back
     /// to demand groups by edge id.
     pub fn to_traffic_graph(&self) -> Graph {
-        let mut g = Graph::new(self.n);
-        for p in &self.pairs {
-            g.add_edge(p.lo(), p.hi());
-        }
-        g
+        Graph::from_endpoints(self.n, self.pairs.iter().map(|p| (p.lo(), p.hi())))
     }
 
     /// Interprets an undirected multigraph as a demand set (inverse of

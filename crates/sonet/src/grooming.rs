@@ -139,20 +139,17 @@ impl GroomingAssignment {
             }
         }
         if let Some(demands) = demands {
-            let mut groomed: Vec<DemandPair> = self
-                .channels
-                .iter()
-                .flat_map(|c| c.pairs().iter().copied())
-                .collect();
-            let mut wanted: Vec<DemandPair> = demands.pairs().to_vec();
-            groomed.sort_unstable();
-            wanted.sort_unstable();
-            if groomed != wanted {
+            let groomed = self.channels.iter().flat_map(|c| c.pairs().iter().copied());
+            let wanted = demands.pairs().iter().copied();
+            if !same_multiset(n.max(demands.num_nodes()), wanted, groomed) {
                 return Err(GroomingError::DemandMismatch {
                     detail: format!(
                         "groomed {} pairs, demand set has {}",
-                        groomed.len(),
-                        wanted.len()
+                        self.channels
+                            .iter()
+                            .map(WavelengthChannel::len)
+                            .sum::<usize>(),
+                        demands.len()
                     ),
                 });
             }
@@ -167,9 +164,15 @@ impl GroomingAssignment {
         // ring node: a channel's ADM nodes each take one SADM, and every
         // other (node, wavelength) combination is a bypass.
         let mut per_node = vec![0usize; n];
-        for ch in &self.channels {
-            for v in ch.adm_nodes(&self.ring) {
-                per_node[v.index()] += 1;
+        let mut mark = vec![usize::MAX; n];
+        for (i, ch) in self.channels.iter().enumerate() {
+            for p in ch.pairs() {
+                for v in [p.lo(), p.hi()] {
+                    if mark[v.index()] != i {
+                        mark[v.index()] = i;
+                        per_node[v.index()] += 1;
+                    }
+                }
             }
         }
         let sadm_total: usize = per_node.iter().sum();
@@ -198,6 +201,65 @@ impl GroomingAssignment {
             demands.pairs().iter().map(|&p| vec![p]).collect(),
         )
     }
+}
+
+/// `true` if `groomed` holds exactly the pairs of `wanted`, with the same
+/// multiplicities; every endpoint must be below `n`. Both sides are bucketed
+/// by their `lo` node (a counting sort), then each bucket's `hi` values are
+/// counted up for `wanted` and back down for `groomed` in one shared
+/// `n`-sized tally: O(n + m), no comparison sort.
+fn same_multiset(
+    n: usize,
+    wanted: impl Iterator<Item = DemandPair> + Clone,
+    groomed: impl Iterator<Item = DemandPair> + Clone,
+) -> bool {
+    let (want_start, want_hi) = bucket_by_lo(n, wanted);
+    let (got_start, got_hi) = bucket_by_lo(n, groomed);
+    let mut tally = vec![0i32; n];
+    for lo in 0..n {
+        let want = &want_hi[want_start[lo] as usize..want_start[lo + 1] as usize];
+        let got = &got_hi[got_start[lo] as usize..got_start[lo + 1] as usize];
+        if want.len() != got.len() {
+            return false;
+        }
+        for &h in want {
+            tally[h as usize] += 1;
+        }
+        for &h in got {
+            tally[h as usize] -= 1;
+        }
+        // Equal bucket sizes make the tally sum to zero, and slots only
+        // `want` touched are positive, so it is all zero iff every slot
+        // `got` touched is.
+        let same = got.iter().all(|&h| tally[h as usize] == 0);
+        for &h in want.iter().chain(got) {
+            tally[h as usize] = 0;
+        }
+        if !same {
+            return false;
+        }
+    }
+    true
+}
+
+/// Counting sort of `pairs` by `lo` node: bucket `lo` of the returned `hi`
+/// list is `hi[start[lo]..start[lo + 1]]`.
+fn bucket_by_lo(n: usize, pairs: impl Iterator<Item = DemandPair> + Clone) -> (Vec<u32>, Vec<u32>) {
+    let mut start = vec![0u32; n + 1];
+    for p in pairs.clone() {
+        start[p.lo().index() + 1] += 1;
+    }
+    for v in 0..n {
+        start[v + 1] += start[v];
+    }
+    let mut fill = start.clone();
+    let mut hi = vec![0u32; start[n] as usize];
+    for p in pairs {
+        let slot = &mut fill[p.lo().index()];
+        hi[*slot as usize] = p.hi().0;
+        *slot += 1;
+    }
+    (start, hi)
 }
 
 #[cfg(test)]
@@ -254,6 +316,50 @@ mod tests {
             a.validate(Some(&d)),
             Err(GroomingError::DemandMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn bucketed_multiset_check_matches_sorting() {
+        // Random multisets over a few nodes (so repeats are common), each
+        // compared with itself shuffled across channels, with one pair
+        // swapped for another, and with one pair dropped.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u32| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as u32
+        };
+        for case in 0..400 {
+            let n = 3 + next(6);
+            let m = next(24) as usize;
+            let pairs: Vec<(u32, u32)> = (0..m)
+                .map(|_| {
+                    let a = next(n);
+                    (a, (a + 1 + next(n - 1)) % n)
+                })
+                .collect();
+            let d = DemandSet::from_pairs(n as usize, &pairs);
+            let mut groomed: Vec<DemandPair> = d.pairs().to_vec();
+            groomed.reverse();
+            match case % 3 {
+                1 if m > 0 => {
+                    let a = next(n);
+                    groomed[0] = pair(a, (a + 1 + next(n - 1)) % n);
+                }
+                2 if m > 0 => {
+                    groomed.pop();
+                }
+                _ => {}
+            }
+            let mut want = d.pairs().to_vec();
+            let mut got = groomed.clone();
+            want.sort_unstable();
+            got.sort_unstable();
+            let channels = groomed.chunks(4).map(<[DemandPair]>::to_vec).collect();
+            let a = GroomingAssignment::new(UpsrRing::new(n as usize), 4, channels);
+            assert_eq!(a.validate(Some(&d)).is_ok(), want == got, "case {case}");
+        }
     }
 
     #[test]
