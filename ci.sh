@@ -47,6 +47,14 @@ guard 'Instance::(ring|upsr|mesh|blsr|multi_ring|weighted)\(' \
   "cold solve inside crates/sim (the simulator is warm-path only: Instance::reconfigure)" \
   $(find crates/sim/src -name '*.rs')
 
+# The request grammar lives in protocol.rs: parse_request alone decides
+# where a request block ends. A tokenizer anywhere else in the service
+# (the front end's framer once re-derived block ends from the same sizes)
+# forks the grammar, and the two copies drift.
+guard 'split_whitespace\(' \
+  "request lines tokenized outside the protocol module (parse_request owns the grammar)" \
+  $(find crates/service/src -name '*.rs' ! -path crates/service/src/protocol.rs)
+
 echo "== cargo build --all-targets (benches, examples, tests compile) =="
 cargo build --all-targets
 

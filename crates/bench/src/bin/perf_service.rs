@@ -29,7 +29,7 @@
 //! Usage: `perf_service [--fast] [--out PATH]`
 
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Instant;
 
@@ -37,7 +37,7 @@ use grooming::solve::Instance;
 use grooming_graph::generators;
 use grooming_graph::ids::NodeId;
 use grooming_service::cache::{fnv1a64, FNV1A64_BASIS};
-use grooming_service::protocol::format_batch_request;
+use grooming_service::protocol::{format_batch_request, read_reply};
 use grooming_service::{tcp, Request, Service, ServiceConfig};
 use grooming_sonet::blsr::BlsrRing;
 use grooming_sonet::demand::DemandSet;
@@ -137,27 +137,9 @@ impl Conn {
         self.stream.write_all(text.as_bytes()).expect("write");
     }
 
-    fn read_line(&mut self) -> String {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line).expect("read");
-        assert!(n > 0, "server hung up");
-        line
-    }
-
     /// One complete reply: a single line, or `RESULT … END` for batches.
     fn read_reply(&mut self) -> String {
-        let mut reply = self.read_line();
-        if reply.starts_with("RESULT") {
-            loop {
-                let line = self.read_line();
-                let done = line.trim() == "END";
-                reply.push_str(&line);
-                if done {
-                    break;
-                }
-            }
-        }
-        reply
+        read_reply(&mut self.reader).expect("read a reply from groomd")
     }
 }
 

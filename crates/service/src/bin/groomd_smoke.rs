@@ -4,11 +4,12 @@
 //! real socket: PING, a mixed BATCH (upsr, ring, weighted, and a mesh
 //! item with its `topology v1` stanza), STATS, SHUTDOWN, and the drain.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
 use grooming_service::cache::{fnv1a64, FNV1A64_BASIS};
+use grooming_service::protocol::read_reply;
 use grooming_service::{tcp, Service, ServiceConfig};
 
 /// A mixed-kind batch in the wire grammar — the canned workload.
@@ -68,13 +69,6 @@ demands v1 6 5
 END
 ";
 
-fn read_line(reader: &mut BufReader<TcpStream>) -> String {
-    let mut line = String::new();
-    let n = reader.read_line(&mut line).expect("read from groomd");
-    assert!(n > 0, "groomd hung up early");
-    line
-}
-
 /// One full client session over TCP; returns the batch transcript.
 fn run_once(workers: usize) -> String {
     // `ServiceConfig` is non_exhaustive, so from this bin crate it can only
@@ -97,29 +91,19 @@ fn run_once(workers: usize) -> String {
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
 
-    writer.write_all(b"PING\n").unwrap();
-    assert_eq!(read_line(&mut reader), "PONG\n");
-
-    writer.write_all(CANNED_BATCH.as_bytes()).unwrap();
-    let mut transcript = String::new();
-    loop {
-        let line = read_line(&mut reader);
-        let done = line == "END\n";
-        transcript.push_str(&line);
-        if done {
-            break;
-        }
-    }
-
-    writer.write_all(b"STATS\n").unwrap();
-    let stats = read_line(&mut reader);
+    let mut roundtrip = |request: &[u8]| {
+        writer.write_all(request).unwrap();
+        read_reply(&mut reader).expect("read a reply from groomd")
+    };
+    assert_eq!(roundtrip(b"PING\n"), "PONG\n");
+    let transcript = roundtrip(CANNED_BATCH.as_bytes());
+    let stats = roundtrip(b"STATS\n");
     assert!(
         stats.starts_with("STATS accepted_requests=1 accepted_items=4 "),
         "unexpected stats line: {stats:?}"
     );
 
-    writer.write_all(b"SHUTDOWN\n").unwrap();
-    assert_eq!(read_line(&mut reader), "BYE\n");
+    assert_eq!(roundtrip(b"SHUTDOWN\n"), "BYE\n");
     server.join();
     let snapshot = service.shutdown();
     assert_eq!(snapshot.counters.completed_items, 4, "drain lost items");

@@ -41,8 +41,9 @@
 //! * [`tcp`] — the same core served over a loopback
 //!   [`std::net::TcpListener`] with blocking I/O that wakes on events (an
 //!   acceptor, and a reader and a writer thread per connection; none
-//!   sleeps on a timer): incremental line buffers that survive arbitrarily
-//!   slow or fragmented clients, and pipelined request blocks answered in
+//!   sleeps on a timer): each reader feeds socket lines straight to
+//!   [`protocol::parse_request`], so arbitrarily slow or fragmented
+//!   clients lose nothing, and pipelined request blocks are answered in
 //!   order (the CLI's `serve` subcommand).
 //!
 //! # Determinism contract

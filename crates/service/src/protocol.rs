@@ -91,8 +91,19 @@
 //! [`crate::ServiceConfig::max_units`] *before* expanding a payload into a
 //! graph or demand set, so an adversarial `demands v1 1000000000 …` header
 //! is refused as text and never allocates.
+//!
+//! # Where a block ends
+//!
+//! [`parse_request`] alone decides it, from the declared sizes. A
+//! malformed block is read to its declared end and answered with its
+//! first error, so the stream resynchronizes at the next block instead of
+//! misreading payload lines as verbs. Where the sizes themselves cannot be
+//! trusted (no usable `count=`, one past the queue, `END` where an `ITEM`
+//! was due, a `demands`/`topology`/`plan` header that is malformed or past
+//! the caps), the block ends right after that line, and the lines that
+//! follow are read as new requests.
 
-use std::io;
+use std::io::{self, BufRead};
 use std::time::Duration;
 
 use grooming::algorithm::Algorithm;
@@ -111,6 +122,7 @@ use grooming_sonet::weighted::WeightedDemandSet;
 use crate::service::{
     BatchResponse, ItemOutcome, Request, ServiceConfig, StatsSnapshot, SubmitError,
 };
+use crate::tcp::{LINE_OVERHEAD, MAX_BUFFERED_BYTES};
 
 /// A parsed top-level request.
 #[derive(Debug)]
@@ -194,18 +206,58 @@ impl From<WireError> for RequestError {
     }
 }
 
-fn malformed(context: &'static str, line: &str) -> RequestError {
-    RequestError::Wire(WireError::Malformed {
+fn malformed(context: &'static str, line: &str) -> WireError {
+    WireError::Malformed {
         context,
         line: line.to_string(),
-    })
+    }
 }
 
-fn next_line(rest: &mut dyn Iterator<Item = io::Result<String>>) -> Result<String, RequestError> {
-    match rest.next() {
-        None => Err(RequestError::Wire(WireError::UnexpectedEof)),
-        Some(Err(e)) => Err(RequestError::Io(e)),
-        Some(Ok(line)) => Ok(line),
+/// The most lines one request block can hold before the TCP front end
+/// drops the connection: each is charged at least [`LINE_OVERHEAD`] of
+/// [`MAX_BUFFERED_BYTES`]. The parser runs while a block is still
+/// arriving, so no reservation sized from a declared count exceeds this;
+/// a header alone cannot allocate ahead of the bytes behind it.
+const MAX_BLOCK_LINES: u64 = (MAX_BUFFERED_BYTES / LINE_OVERHEAD) as u64;
+
+/// One request block being parsed: the lines it has left, and the first
+/// error found in it so far.
+struct Block<'a> {
+    rest: &'a mut dyn Iterator<Item = io::Result<String>>,
+    config: &'a ServiceConfig,
+    error: Option<WireError>,
+}
+
+impl Block<'_> {
+    /// The block's next line. A failing `rest` ends the parse with
+    /// [`RequestError::Io`]; an exhausted one ends the block.
+    fn line(&mut self) -> Result<String, RequestError> {
+        match self.rest.next() {
+            None => Err(self.end(WireError::UnexpectedEof)),
+            Some(Err(e)) => Err(RequestError::Io(e)),
+            Some(Ok(line)) => Ok(line),
+        }
+    }
+
+    /// Records `error` unless an earlier one stands.
+    fn note(&mut self, error: WireError) {
+        self.error.get_or_insert(error);
+    }
+
+    /// `result`'s value, or `None` with its error recorded.
+    fn check<T>(&mut self, result: Result<T, WireError>) -> Option<T> {
+        result.map_err(|e| self.note(e)).ok()
+    }
+
+    /// Ends the block before its declared end: the first error found in
+    /// it, else `error`.
+    fn end(&mut self, error: WireError) -> RequestError {
+        RequestError::Wire(self.error.take().unwrap_or(error))
+    }
+
+    /// Ends the block early if `check` failed.
+    fn end_if(&mut self, check: Result<(), WireError>) -> Result<(), RequestError> {
+        check.map_err(|e| self.end(e))
     }
 }
 
@@ -213,6 +265,12 @@ fn next_line(rest: &mut dyn Iterator<Item = io::Result<String>>) -> Result<Strin
 /// non-empty); `rest` yields the following lines of the same stream.
 /// Limits from `config` are enforced on declared sizes before any payload
 /// is expanded.
+///
+/// This is the only code that knows where a block ends (see *Where a
+/// block ends* in the module docs): a malformed block is read to its end
+/// and its first error, in parse order, is returned there. An `Err` from
+/// `rest` ends the parse at once as [`RequestError::Io`], whatever was
+/// found before it.
 pub fn parse_request(
     first: &str,
     rest: &mut dyn Iterator<Item = io::Result<String>>,
@@ -224,7 +282,7 @@ pub fn parse_request(
     match verb {
         "PING" | "STATS" | "SHUTDOWN" => {
             if toks.next().is_some() {
-                return Err(malformed("request (verb takes no arguments)", first));
+                return Err(malformed("request (verb takes no arguments)", first).into());
             }
             Ok(match verb {
                 "PING" => WireRequest::Ping,
@@ -232,172 +290,187 @@ pub fn parse_request(
                 _ => WireRequest::Shutdown,
             })
         }
-        "BATCH" => parse_batch(first, toks, rest, config, false),
-        "RECONFIGURE" => parse_batch(first, toks, rest, config, true),
-        _ => Err(malformed("request (unknown verb)", first)),
+        "BATCH" | "RECONFIGURE" => {
+            let mut block = Block {
+                rest,
+                config,
+                error: None,
+            };
+            parse_batch(first, toks, &mut block, verb == "RECONFIGURE")
+        }
+        _ => Err(malformed("request (unknown verb)", first).into()),
     }
 }
 
 fn parse_batch(
     header: &str,
     fields: std::str::SplitWhitespace<'_>,
-    rest: &mut dyn Iterator<Item = io::Result<String>>,
-    config: &ServiceConfig,
+    block: &mut Block<'_>,
     reconfigure_only: bool,
 ) -> Result<WireRequest, RequestError> {
-    let mut id = None;
-    let mut count = None;
+    let mut id: Option<u64> = None;
+    // The last count= sizes the block, even after a field that failed.
+    let mut count: Option<usize> = None;
     let mut deadline = None;
     let mut algo = None;
     for tok in fields {
-        let (key, value) = tok
-            .split_once('=')
-            .ok_or_else(|| malformed("BATCH header", header))?;
+        let Some((key, value)) = tok.split_once('=') else {
+            block.note(malformed("BATCH header", header));
+            continue;
+        };
         match key {
-            "id" => {
-                id = Some(
-                    value
-                        .parse::<u64>()
-                        .map_err(|_| malformed("BATCH id", header))?,
-                )
-            }
+            "id" => id = block.check(value.parse().map_err(|_| malformed("BATCH id", header))),
             "count" => {
-                count = Some(
-                    value
-                        .parse::<usize>()
-                        .map_err(|_| malformed("BATCH count", header))?,
-                )
+                count = block.check(value.parse().map_err(|_| malformed("BATCH count", header)))
             }
             "deadline_ms" => {
-                let ms = value
-                    .parse::<u64>()
-                    .map_err(|_| malformed("BATCH deadline_ms", header))?;
-                deadline = Some(Duration::from_millis(ms));
-            }
-            "algo" => {
-                algo = Some(
-                    Algorithm::by_name(value)
-                        .ok_or_else(|| malformed("BATCH algo (unknown name)", header))?,
+                deadline = block.check(
+                    value
+                        .parse()
+                        .map(Duration::from_millis)
+                        .map_err(|_| malformed("BATCH deadline_ms", header)),
                 )
             }
-            _ => return Err(malformed("BATCH header (unknown field)", header)),
+            "algo" => {
+                algo = block.check(
+                    Algorithm::by_name(value)
+                        .ok_or_else(|| malformed("BATCH algo (unknown name)", header)),
+                )
+            }
+            _ => block.note(malformed("BATCH header (unknown field)", header)),
         }
     }
-    let id = id.ok_or_else(|| malformed("BATCH header (missing id=)", header))?;
-    let count = count.ok_or_else(|| malformed("BATCH header (missing count=)", header))?;
+    if id.is_none() {
+        block.note(malformed("BATCH header (missing id=)", header));
+    }
+    let Some(count) = count else {
+        return Err(block.end(malformed("BATCH header (missing count=)", header)));
+    };
     // A batch bigger than the whole queue can never be admitted; refuse it
     // as text before reading (or allocating for) a single stanza.
-    if count > config.queue_capacity {
-        return Err(RequestError::Wire(WireError::TooLarge {
-            what: "items",
-            got: count as u64,
-            limit: config.queue_capacity as u64,
-        }));
-    }
+    block.end_if(within(
+        "items",
+        count as u64,
+        block.config.queue_capacity as u64,
+    ))?;
 
     let mut items = Vec::new();
     for _ in 0..count {
-        let item_line = next_line(rest)?;
-        let item_line = item_line.trim().to_string();
-        let is_reconfigure = item_line.split_whitespace().nth(1) == Some("reconfigure");
-        if reconfigure_only && !is_reconfigure {
-            return Err(malformed(
+        let line = block.line()?;
+        let line = line.trim();
+        let kind = line.split_whitespace().nth(1);
+        if reconfigure_only && kind != Some("reconfigure") {
+            block.note(malformed(
                 "RECONFIGURE item (kind must be reconfigure)",
-                &item_line,
+                line,
             ));
         }
-        let is_mesh = item_line.split_whitespace().nth(1) == Some("mesh");
-        let instance = if is_reconfigure {
-            parse_reconfigure_item(&item_line, rest, config)?
-        } else if is_mesh {
-            parse_mesh_item(&item_line, rest, config)?
-        } else {
-            let list = read_demand_block(rest, config)?;
-            parse_item(&item_line, &list)?
+        if line == "END" {
+            // Where an ITEM was due, END closes the block early.
+            return Err(block.end(WireError::UnexpectedEof));
+        }
+        let item = match kind {
+            Some("reconfigure") => parse_reconfigure_item(line, block)?,
+            Some("mesh") => parse_mesh_item(line, block)?,
+            // The demand block is read first, so its errors outrank the
+            // ITEM line's.
+            _ => read_demand_block(block)?.and_then(|list| block.check(parse_item(line, &list))),
         };
-        items.push(instance);
+        items.extend(item);
     }
-    let end = next_line(rest)?;
+    let end = block.line()?;
     if end.trim() != "END" {
-        return Err(malformed("BATCH terminator (expected END)", end.trim()));
+        block.note(malformed("BATCH terminator (expected END)", end.trim()));
     }
-
+    if let Some(e) = block.error.take() {
+        return Err(e.into());
+    }
     Ok(WireRequest::Batch(Request {
-        id,
+        // A missing id was an error above.
+        id: id.unwrap_or_default(),
         items,
         deadline,
         algo,
     }))
 }
 
-/// Reads one strict demand-list block (header + exactly `m` entry lines)
-/// off the stream, refusing oversized declarations before buffering.
-fn read_demand_block(
-    rest: &mut dyn Iterator<Item = io::Result<String>>,
-    config: &ServiceConfig,
-) -> Result<DemandList, RequestError> {
-    let header = next_line(rest)?;
+/// Reads one strict block whose header declares `<n> <m>` as its third
+/// and fourth tokens (`demands v1`, `topology v1`): the header and then
+/// `body(n, m)` lines, handed to `parse` as one text. `n` is checked
+/// against `max_nodes` and `m` (as `what`) against `max_units` before any
+/// body line is read.
+fn read_sized_block<T>(
+    block: &mut Block<'_>,
+    what: &'static str,
+    body: fn(u64, u64) -> u64,
+    parse: impl Fn(&str) -> Result<T, WireError>,
+) -> Result<Option<T>, RequestError> {
+    let header = block.line()?;
     let header = header.trim();
-    // Peek the declared sizes off the header so limits apply before any
-    // entry line is read; full validation is parse_demand_list's job.
     let mut peek = header.split_whitespace().skip(2);
     let n = peek.next().and_then(|t| t.parse::<u64>().ok());
     let m = peek.next().and_then(|t| t.parse::<u64>().ok());
-    let (n, m) = match (n, m) {
-        (Some(n), Some(m)) => (n, m),
+    let (Some(n), Some(m)) = (n, m) else {
         // Not even header-shaped: let the real parser name the problem.
-        _ => {
-            return parse_demand_list(header).map_err(|e| RequestError::Wire(WireError::Demand(e)))
-        }
+        let e = parse(header).err();
+        return Err(block.end(e.unwrap_or_else(|| malformed("block header", header))));
     };
-    if n > config.max_nodes as u64 {
-        return Err(RequestError::Wire(WireError::TooLarge {
-            what: "nodes",
-            got: n,
-            limit: config.max_nodes as u64,
-        }));
-    }
-    // Every entry carries at least one unit, so m alone can trip the cap.
-    if m > config.max_units {
-        return Err(RequestError::Wire(WireError::TooLarge {
-            what: "units",
-            got: m,
-            limit: config.max_units,
-        }));
-    }
+    let config = block.config;
+    block.end_if(within("nodes", n, config.max_nodes as u64))?;
+    // Every entry or link line is at least one unit of per-edge solver
+    // work, so m alone can trip the cap.
+    block.end_if(within(what, m, config.max_units))?;
 
-    let mut text = String::with_capacity(header.len() + 8 * m as usize);
+    let lines = body(n, m);
+    let mut text = String::with_capacity(header.len() + 8 * lines.min(MAX_BLOCK_LINES) as usize);
     text.push_str(header);
     text.push('\n');
-    for _ in 0..m {
-        let line = next_line(rest)?;
+    for _ in 0..lines {
+        let line = block.line()?;
         text.push_str(line.trim());
         text.push('\n');
     }
-    let list = parse_demand_list(&text).map_err(|e| RequestError::Wire(WireError::Demand(e)))?;
-    if list.nodes < 2 {
-        return Err(malformed("demand list (need at least 2 nodes)", header));
-    }
-    if list.total_units() > config.max_units {
-        return Err(RequestError::Wire(WireError::TooLarge {
-            what: "units",
-            got: list.total_units(),
-            limit: config.max_units,
-        }));
-    }
-    Ok(list)
+    Ok(block.check(parse(&text)))
+}
+
+/// Reads one strict demand-list block (`demands v1 <n> <m>` + exactly `m`
+/// entry lines).
+fn read_demand_block(block: &mut Block<'_>) -> Result<Option<DemandList>, RequestError> {
+    let max_units = block.config.max_units;
+    read_sized_block(
+        block,
+        "units",
+        |_, m| m,
+        |text| {
+            let list = parse_demand_list(text).map_err(WireError::Demand)?;
+            if list.nodes < 2 {
+                let header = text.lines().next().unwrap_or_default();
+                return Err(malformed("demand list (need at least 2 nodes)", header));
+            }
+            within("units", list.total_units(), max_units)?;
+            Ok(list)
+        },
+    )
+}
+
+/// Reads one strict topology block (`topology v1 <n> <m>` + exactly `n`
+/// cap lines and `m` link lines). Physical links are bounded by the same
+/// budget as demand units: both feed per-edge work in the solver.
+fn read_topology_block(block: &mut Block<'_>) -> Result<Option<Topology>, RequestError> {
+    read_sized_block(
+        block,
+        "links",
+        |n, m| n + m,
+        |text| parse_topology(text).map_err(WireError::Demand),
+    )
 }
 
 /// Reads one strict plan block (`plan v1 <W>` header + exactly `W` part
-/// lines, each `<len> <e1> ... <elen>`), refusing oversized declarations
-/// before buffering. Edge-id *semantics* (coverage of the prior snapshot)
-/// are the solver's job — [`grooming::solve::SolveError::PriorPlan`]
-/// surfaces as a per-item `ERROR`, not a wire error.
-fn read_plan_block(
-    rest: &mut dyn Iterator<Item = io::Result<String>>,
-    config: &ServiceConfig,
-) -> Result<Vec<Vec<EdgeId>>, RequestError> {
-    let header = next_line(rest)?;
+/// lines). Edge-id *semantics* (coverage of the prior snapshot) are the
+/// solver's job — [`grooming::solve::SolveError::PriorPlan`] surfaces as a
+/// per-item `ERROR`, not a wire error.
+fn read_plan_block(block: &mut Block<'_>) -> Result<Option<Vec<Vec<EdgeId>>>, RequestError> {
+    let header = block.line()?;
     let header = header.trim();
     let mut toks = header.split_whitespace();
     let w = match (toks.next(), toks.next(), toks.next(), toks.next()) {
@@ -405,190 +478,54 @@ fn read_plan_block(
         _ => None,
     };
     let Some(w) = w else {
-        return Err(malformed("plan block header", header));
+        return Err(block.end(malformed("plan block header", header)));
     };
     // A non-degenerate part holds at least one edge, and edges are capped
     // by the unit limit — so the part count is too.
-    if w > config.max_units {
-        return Err(RequestError::Wire(WireError::TooLarge {
-            what: "plan parts",
-            got: w,
-            limit: config.max_units,
-        }));
-    }
-    let mut parts = Vec::with_capacity(w as usize);
+    block.end_if(within("plan parts", w, block.config.max_units))?;
+    let mut parts = Vec::with_capacity(w.min(MAX_BLOCK_LINES) as usize);
+    let mut whole = true;
     for _ in 0..w {
-        let line = next_line(rest)?;
-        let line = line.trim();
-        let mut toks = line.split_whitespace();
-        let len = toks
+        let line = block.line()?;
+        match block.check(parse_part(line.trim())) {
+            Some(part) => parts.push(part),
+            None => whole = false,
+        }
+    }
+    Ok(whole.then_some(parts))
+}
+
+/// One `<len> <e1> ... <elen>` part line.
+fn parse_part(line: &str) -> Result<Vec<EdgeId>, WireError> {
+    let mut toks = line.split_whitespace();
+    let len = toks
+        .next()
+        .and_then(|t| t.parse::<usize>().ok())
+        .ok_or_else(|| malformed("plan part line (length)", line))?;
+    // Each id takes at least two bytes of the line.
+    let mut part = Vec::with_capacity(len.min(line.len() / 2));
+    for _ in 0..len {
+        let id = toks
             .next()
-            .and_then(|t| t.parse::<usize>().ok())
-            .ok_or_else(|| malformed("plan part line (length)", line))?;
-        let mut part = Vec::with_capacity(len.min(1 << 20));
-        for _ in 0..len {
-            let id = toks
-                .next()
-                .and_then(|t| t.parse::<u32>().ok())
-                .ok_or_else(|| malformed("plan part line (edge id)", line))?;
-            part.push(EdgeId(id));
-        }
-        if toks.next().is_some() {
-            return Err(malformed("plan part line (trailing tokens)", line));
-        }
-        parts.push(part);
+            .and_then(|t| t.parse::<u32>().ok())
+            .ok_or_else(|| malformed("plan part line (edge id)", line))?;
+        part.push(EdgeId(id));
     }
-    Ok(parts)
+    if toks.next().is_some() {
+        return Err(malformed("plan part line (trailing tokens)", line));
+    }
+    Ok(part)
 }
 
-/// Reads one strict topology block (`topology v1 <n> <m>` header plus
-/// exactly `n` cap lines and `m` link lines) off the stream, refusing
-/// oversized declarations before buffering — same discipline as
-/// [`read_demand_block`].
-fn read_topology_block(
-    rest: &mut dyn Iterator<Item = io::Result<String>>,
-    config: &ServiceConfig,
-) -> Result<Topology, RequestError> {
-    let header = next_line(rest)?;
-    let header = header.trim();
-    let mut peek = header.split_whitespace().skip(2);
-    let n = peek.next().and_then(|t| t.parse::<u64>().ok());
-    let m = peek.next().and_then(|t| t.parse::<u64>().ok());
-    let (n, m) = match (n, m) {
-        (Some(n), Some(m)) => (n, m),
-        // Not even header-shaped: let the real parser name the problem.
-        _ => return parse_topology(header).map_err(|e| RequestError::Wire(WireError::Demand(e))),
-    };
-    if n > config.max_nodes as u64 {
-        return Err(RequestError::Wire(WireError::TooLarge {
-            what: "nodes",
-            got: n,
-            limit: config.max_nodes as u64,
-        }));
-    }
-    // Physical links are bounded by the same budget as demand units: both
-    // feed per-edge work in the solver.
-    if m > config.max_units {
-        return Err(RequestError::Wire(WireError::TooLarge {
-            what: "links",
-            got: m,
-            limit: config.max_units,
-        }));
-    }
-
-    let body_lines = n + m;
-    let mut text = String::with_capacity(header.len() + 8 * body_lines as usize);
-    text.push_str(header);
-    text.push('\n');
-    for _ in 0..body_lines {
-        let line = next_line(rest)?;
-        text.push_str(line.trim());
-        text.push('\n');
-    }
-    parse_topology(&text).map_err(|e| RequestError::Wire(WireError::Demand(e)))
-}
-
-/// Parses one `mesh` stanza: the `ITEM` line, the physical topology, and
-/// the demand list routed over it.
-fn parse_mesh_item(
-    line: &str,
-    rest: &mut dyn Iterator<Item = io::Result<String>>,
-    config: &ServiceConfig,
-) -> Result<Instance, RequestError> {
-    let mut toks = line.split_whitespace();
-    if toks.next() != Some("ITEM") {
-        return Err(malformed("item stanza (expected ITEM)", line));
-    }
-    let kind = toks.next();
-    debug_assert_eq!(kind, Some("mesh"));
-    let mut k = None;
-    let mut routes = None;
-    for tok in toks {
-        let (key, value) = tok
-            .split_once('=')
-            .ok_or_else(|| malformed("ITEM field", line))?;
-        let parsed = value
-            .parse::<usize>()
-            .map_err(|_| malformed("ITEM field value", line))?;
-        match key {
-            "k" => k = Some(parsed),
-            "routes" => routes = Some(parsed),
-            _ => return Err(malformed("ITEM (field not valid for this kind)", line)),
-        }
-    }
-    let k = k.ok_or_else(|| malformed("ITEM (missing k=)", line))?;
-    if k == 0 {
-        return Err(malformed("ITEM (k must be >= 1)", line));
-    }
-    let routes = routes.ok_or_else(|| malformed("ITEM mesh (missing routes=)", line))?;
-    if routes == 0 {
-        return Err(malformed("ITEM mesh (routes must be >= 1)", line));
-    }
-    let topology = read_topology_block(rest, config)?;
-    let list = read_demand_block(rest, config)?;
-    if list.nodes != topology.num_nodes() {
-        return Err(malformed(
-            "mesh demands (node count differs from the topology)",
-            line,
-        ));
-    }
-    Ok(Instance::mesh(
-        topology,
-        demand_set_from_list(&list),
-        k,
-        routes,
-    ))
-}
-
-/// Parses one `reconfigure` stanza: the `ITEM` line, then the prior
-/// snapshot, the prior plan, the added pairs, and the removed pairs.
-fn parse_reconfigure_item(
-    line: &str,
-    rest: &mut dyn Iterator<Item = io::Result<String>>,
-    config: &ServiceConfig,
-) -> Result<Instance, RequestError> {
-    let mut toks = line.split_whitespace();
-    if toks.next() != Some("ITEM") {
-        return Err(malformed("item stanza (expected ITEM)", line));
-    }
-    let kind = toks.next();
-    debug_assert_eq!(kind, Some("reconfigure"));
-    let mut k = None;
-    for tok in toks {
-        let (key, value) = tok
-            .split_once('=')
-            .ok_or_else(|| malformed("ITEM field", line))?;
-        let parsed = value
-            .parse::<usize>()
-            .map_err(|_| malformed("ITEM field value", line))?;
-        match key {
-            "k" => k = Some(parsed),
-            _ => return Err(malformed("ITEM (field not valid for this kind)", line)),
-        }
-    }
-    let k = k.ok_or_else(|| malformed("ITEM (missing k=)", line))?;
-    if k == 0 {
-        return Err(malformed("ITEM (k must be >= 1)", line));
-    }
-    let prior_list = read_demand_block(rest, config)?;
-    let parts = read_plan_block(rest, config)?;
-    let added_list = read_demand_block(rest, config)?;
-    let removed_list = read_demand_block(rest, config)?;
-    if added_list.nodes != prior_list.nodes || removed_list.nodes != prior_list.nodes {
-        return Err(malformed(
-            "reconfigure delta (node count differs from the prior snapshot)",
-            line,
-        ));
-    }
-    Ok(Instance::reconfigure(
-        demand_set_from_list(&prior_list),
-        EdgePartition::new(parts),
-        DemandDelta::new(pairs_from_list(&added_list), pairs_from_list(&removed_list)),
-        k,
-    ))
-}
-
-fn parse_item(line: &str, list: &DemandList) -> Result<Instance, RequestError> {
+/// Reads an `ITEM <kind> k=<K> [<extra>=<X>]` line: its kind, which must
+/// be one of `kinds`, its `k` (at least 1), and the value of `extra`, the
+/// one other key the kind takes. Any other key is `unknown_key`.
+fn item_fields<'a>(
+    line: &'a str,
+    kinds: &[&str],
+    extra: Option<&str>,
+    unknown_key: &'static str,
+) -> Result<(&'a str, usize, Option<usize>), WireError> {
     let mut toks = line.split_whitespace();
     if toks.next() != Some("ITEM") {
         return Err(malformed("item stanza (expected ITEM)", line));
@@ -596,11 +533,11 @@ fn parse_item(line: &str, list: &DemandList) -> Result<Instance, RequestError> {
     let kind = toks.next().ok_or_else(|| malformed("ITEM kind", line))?;
     // The kind is checked before its keys: an unknown kind is reported as
     // such whatever keys it carries.
-    if !matches!(kind, "upsr" | "ring" | "budgeted" | "weighted" | "blsr") {
+    if !kinds.contains(&kind) {
         return Err(malformed("ITEM (unknown kind)", line));
     }
     let mut k = None;
-    let mut budget = None;
+    let mut extra_value = None;
     for tok in toks {
         let (key, value) = tok
             .split_once('=')
@@ -608,24 +545,126 @@ fn parse_item(line: &str, list: &DemandList) -> Result<Instance, RequestError> {
         let parsed = value
             .parse::<usize>()
             .map_err(|_| malformed("ITEM field value", line))?;
-        match key {
-            "k" => k = Some(parsed),
-            "budget" => budget = Some(parsed),
-            _ => return Err(malformed("ITEM field (unknown key)", line)),
+        if key == "k" {
+            k = Some(parsed);
+        } else if Some(key) == extra {
+            extra_value = Some(parsed);
+        } else {
+            return Err(malformed(unknown_key, line));
         }
     }
-    let k = k.ok_or_else(|| malformed("ITEM (missing k=)", line))?;
-    if k == 0 {
-        return Err(malformed("ITEM (k must be >= 1)", line));
+    let k = required(k, "ITEM (missing k=)", "ITEM (k must be >= 1)", line)?;
+    Ok((kind, k, extra_value))
+}
+
+/// A field `line` must carry, with a value of at least 1.
+fn required(
+    value: Option<usize>,
+    missing: &'static str,
+    zero: &'static str,
+    line: &str,
+) -> Result<usize, WireError> {
+    match value {
+        None => Err(malformed(missing, line)),
+        Some(0) => Err(malformed(zero, line)),
+        Some(value) => Ok(value),
     }
+}
+
+/// `Err(TooLarge)` if the declared `got` exceeds `limit`.
+fn within(what: &'static str, got: u64, limit: u64) -> Result<(), WireError> {
+    match got > limit {
+        true => Err(WireError::TooLarge { what, got, limit }),
+        false => Ok(()),
+    }
+}
+
+/// Parses one `mesh` stanza: the `ITEM` line, the physical topology, and
+/// the demand list routed over it.
+fn parse_mesh_item(line: &str, block: &mut Block<'_>) -> Result<Option<Instance>, RequestError> {
+    let fields = block.check(
+        item_fields(
+            line,
+            &["mesh"],
+            Some("routes"),
+            "ITEM (field not valid for this kind)",
+        )
+        .and_then(|(_, k, routes)| {
+            let missing = "ITEM mesh (missing routes=)";
+            Ok((
+                k,
+                required(routes, missing, "ITEM mesh (routes must be >= 1)", line)?,
+            ))
+        }),
+    );
+    let topology = read_topology_block(block)?;
+    let list = read_demand_block(block)?;
+    let (Some((k, routes)), Some(topology), Some(list)) = (fields, topology, list) else {
+        return Ok(None);
+    };
+    if list.nodes != topology.num_nodes() {
+        block.note(malformed(
+            "mesh demands (node count differs from the topology)",
+            line,
+        ));
+        return Ok(None);
+    }
+    Ok(Some(Instance::mesh(
+        topology,
+        demand_set_from_list(&list),
+        k,
+        routes,
+    )))
+}
+
+/// Parses one `reconfigure` stanza: the `ITEM` line, then the prior
+/// snapshot, the prior plan, the added pairs, and the removed pairs.
+fn parse_reconfigure_item(
+    line: &str,
+    block: &mut Block<'_>,
+) -> Result<Option<Instance>, RequestError> {
+    let k = block.check(item_fields(
+        line,
+        &["reconfigure"],
+        None,
+        "ITEM (field not valid for this kind)",
+    ));
+    let prior = read_demand_block(block)?;
+    let parts = read_plan_block(block)?;
+    let added = read_demand_block(block)?;
+    let removed = read_demand_block(block)?;
+    let (Some((_, k, _)), Some(prior), Some(parts), Some(added), Some(removed)) =
+        (k, prior, parts, added, removed)
+    else {
+        return Ok(None);
+    };
+    if added.nodes != prior.nodes || removed.nodes != prior.nodes {
+        block.note(malformed(
+            "reconfigure delta (node count differs from the prior snapshot)",
+            line,
+        ));
+        return Ok(None);
+    }
+    Ok(Some(Instance::reconfigure(
+        demand_set_from_list(&prior),
+        EdgePartition::new(parts),
+        DemandDelta::new(pairs_from_list(&added), pairs_from_list(&removed)),
+        k,
+    )))
+}
+
+fn parse_item(line: &str, list: &DemandList) -> Result<Instance, WireError> {
+    let (kind, k, budget) = item_fields(
+        line,
+        &["upsr", "ring", "budgeted", "weighted", "blsr"],
+        Some("budget"),
+        "ITEM field (unknown key)",
+    )?;
     // Fields that a kind does not consume are rejected, not ignored.
     let instance = match kind {
         "budgeted" => {
-            let budget =
-                budget.ok_or_else(|| malformed("ITEM budgeted (missing budget=)", line))?;
-            if budget == 0 {
-                return Err(malformed("ITEM budgeted (budget must be >= 1)", line));
-            }
+            let missing = "ITEM budgeted (missing budget=)";
+            let budget = required(budget, missing, "ITEM budgeted (budget must be >= 1)", line)?;
             Instance::budgeted(graph_from_list(list), k, budget)
         }
         _ if budget.is_some() => {
@@ -863,6 +902,27 @@ pub fn format_batch_response(response: &BatchResponse) -> String {
     }
     out.push_str("END\n");
     out
+}
+
+/// Reads one reply off a groomd connection: a `RESULT` block through its
+/// `END` line, or else one line. A server that hangs up first is
+/// [`io::ErrorKind::UnexpectedEof`].
+pub fn read_reply(reader: &mut impl BufRead) -> io::Result<String> {
+    let mut reply = String::new();
+    loop {
+        let start = reply.len();
+        reader.read_line(&mut reply)?;
+        let line = &reply[start..];
+        if !line.ends_with('\n') {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "groomd closed the connection mid-reply",
+            ));
+        }
+        if !reply.starts_with("RESULT ") || line == "END\n" {
+            return Ok(reply);
+        }
+    }
 }
 
 /// Serializes an admission refusal. Every numeric field is a deterministic

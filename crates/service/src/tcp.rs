@@ -2,20 +2,21 @@
 //! a [`std::net::TcpListener`] with blocking I/O that wakes on events.
 //!
 //! No thread sleeps on a timer. The acceptor blocks in `accept()`. Each
-//! connection's reader blocks in `read()`, frames complete request blocks
-//! (`block_bounds`), submits them, and hands each reply slot to the
-//! connection's writer, which waits on the slots' [`Ticket`]s in order. So
-//! a request costs its solve plus a few thread wake-ups, an idle server
-//! burns no CPU, and each open connection costs two parked threads. Solve
-//! parallelism still lives in the service's worker pool.
+//! connection's reader blocks in `read()` under a 16 KiB buffer and hands
+//! the lines straight to [`protocol::parse_request`], the only code that
+//! knows where a request block ends. It submits each parsed block and
+//! hands its reply slot to the connection's writer, which waits on the
+//! slots' [`Ticket`]s in order. So a request costs its solve plus a few
+//! thread wake-ups, an idle server burns no CPU, and each open connection
+//! costs two parked threads. Solve parallelism still lives in the
+//! service's worker pool.
 //!
 //! Three properties the front end guarantees:
 //!
-//! * **Slow clients lose nothing.** Bytes accumulate in a per-connection
-//!   buffer across arbitrarily many reads; a line (or a whole request
-//!   block) may arrive one byte at a time with stalls anywhere and is
-//!   reassembled intact. The lines a read completes are split off in one
-//!   pass, so framing is linear in the bytes received.
+//! * **Slow clients lose nothing.** A line (or a whole request block) may
+//!   arrive one byte at a time with stalls anywhere; the reader waits in
+//!   `read()` for the rest and reassembles it intact. Lines are split in
+//!   one pass over the bytes received.
 //! * **Pipelining.** A client may write many request blocks back to back
 //!   without reading. Replies come back in submission order; a cheap
 //!   `PING` behind a pending `BATCH` waits its turn rather than
@@ -32,13 +33,14 @@
 //! drain and their replies are written, then connections close and
 //! [`TcpServer::join`] returns.
 //!
-//! A connection is dropped when its buffered input passes
-//! [`MAX_BUFFERED_BYTES`] without completing a request block — the bound
-//! keeps one misbehaving peer from growing server memory without limit —
-//! or, with a log line, when its threads cannot be spawned.
+//! End of input or a transport error ends a connection; a block still
+//! open then is never answered. A connection is dropped when the open
+//! request block's lines pass [`MAX_BUFFERED_BYTES`] — the bound keeps one
+//! misbehaving peer from growing server memory without limit — or, with
+//! a log line, when its threads cannot be spawned.
 
-use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::borrow::Cow;
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::thread;
@@ -46,14 +48,13 @@ use std::thread;
 use crate::protocol::{self, RequestError, WireRequest};
 use crate::service::{Service, Ticket};
 
-/// Per-connection cap on buffered input: bytes not yet split into lines
-/// plus the complete lines not yet consumed by a request block. A peer
-/// that exceeds it without completing a request block is dropped.
+/// Per-connection cap on the open request block: what its lines cost as
+/// they are read. A peer that passes it is dropped.
 pub const MAX_BUFFERED_BYTES: usize = 16 << 20;
 
-/// What a buffered line costs beyond its text: its `\n` and the `String`
-/// holding it, so blank lines inside an open block fill the cap too.
-const LINE_OVERHEAD: usize = 1 + std::mem::size_of::<String>();
+/// What a line costs beyond its text: its `\n` and the `String` holding
+/// it, so blank lines inside an open block fill the cap too.
+pub(crate) const LINE_OVERHEAD: usize = 1 + std::mem::size_of::<String>();
 
 /// How many *consecutive* fatal accept errors the listener tolerates
 /// before it gives up and begins a graceful shutdown.
@@ -123,49 +124,88 @@ enum PendingReply {
     Batch(Ticket),
 }
 
-/// A connection's input: the line still arriving, and complete lines not
-/// yet consumed by a request block.
-#[derive(Default)]
-struct LineBuffer {
-    /// Bytes after the last `\n` received; never holds a `\n`.
-    partial: Vec<u8>,
-    /// Complete lines, `\n` (and an optional `\r`) stripped.
-    lines: VecDeque<String>,
-    /// What `lines` costs against [`MAX_BUFFERED_BYTES`].
+/// A connection's input as lines, read straight off its stream.
+struct Lines<R> {
+    reader: BufReader<R>,
+    /// The line being read; reused from line to line.
+    buf: Vec<u8>,
+    /// What the open request block's lines cost against
+    /// [`MAX_BUFFERED_BYTES`].
     held: usize,
 }
 
-impl LineBuffer {
-    /// Appends one read's bytes, splits off every line they complete in one
-    /// pass, and drains the consumed prefix once. A trailing partial line
-    /// stays buffered — nothing is ever discarded at a read boundary.
-    fn push(&mut self, bytes: &[u8]) {
-        self.partial.extend_from_slice(bytes);
-        let Some(last) = bytes.iter().rposition(|&b| b == b'\n') else {
-            return;
-        };
-        let end = self.partial.len() - bytes.len() + last;
-        for line in self.partial[..end].split(|&b| b == b'\n') {
-            let line = line.strip_suffix(b"\r").unwrap_or(line);
-            let line = String::from_utf8_lossy(line).into_owned();
-            self.held += line.len() + LINE_OVERHEAD;
-            self.lines.push_back(line);
+impl<R: Read> Lines<R> {
+    fn new(stream: R) -> Self {
+        Lines {
+            reader: BufReader::with_capacity(16 << 10, stream),
+            buf: Vec::new(),
+            held: 0,
         }
-        self.partial.drain(..=end);
     }
 
-    /// Removes the first `len` complete lines.
-    fn take(&mut self, len: usize) -> std::collections::vec_deque::Drain<'_, String> {
-        let lines = self.lines.range(..len);
-        self.held -= lines.map(|line| line.len() + LINE_OVERHEAD).sum::<usize>();
-        self.lines.drain(..len)
+    /// The first line of the next request block, past the blank and `#`
+    /// lines allowed between blocks; `None` at end of input. Starts the
+    /// block's charge.
+    fn first_line(&mut self) -> io::Result<Option<String>> {
+        loop {
+            self.held = 0;
+            match self.next_line()? {
+                Some(line) if line.trim().is_empty() || line.trim().starts_with('#') => {}
+                line => return Ok(line),
+            }
+        }
+    }
+
+    /// The next line, its `\n` (and an optional `\r`) stripped and
+    /// invalid UTF-8 replaced, charged to the open block. `None` at end of
+    /// input, where a last line without its `\n` is dropped; an error once
+    /// the block passes the cap.
+    fn next_line(&mut self) -> io::Result<Option<String>> {
+        self.buf.clear();
+        // Read no further than the cap admits, so a line that never ends
+        // cannot grow without bound.
+        let room = MAX_BUFFERED_BYTES.saturating_sub(self.held) + 1;
+        self.reader
+            .by_ref()
+            .take(room as u64)
+            .read_until(b'\n', &mut self.buf)?;
+        let line = self
+            .buf
+            .strip_suffix(b"\n")
+            .map(|line| String::from_utf8_lossy(line.strip_suffix(b"\r").unwrap_or(line)));
+        // A partial line is charged its bytes.
+        self.held += line
+            .as_ref()
+            .map_or(self.buf.len(), |line| line.len() + LINE_OVERHEAD);
+        if self.over_cap() {
+            return Err(io::Error::other("request block passed the buffer cap"));
+        }
+        Ok(line.map(Cow::into_owned))
+    }
+
+    fn over_cap(&self) -> bool {
+        self.held > MAX_BUFFERED_BYTES
+    }
+}
+
+/// The open block's lines, as [`protocol::parse_request`] reads them. End
+/// of input here ends the connection, not the block, so it fails like a
+/// transport error and the block goes unanswered.
+impl<R: Read> Iterator for Lines<R> {
+    type Item = io::Result<String>;
+
+    fn next(&mut self) -> Option<io::Result<String>> {
+        Some(
+            self.next_line()
+                .and_then(|line| line.ok_or_else(|| io::ErrorKind::UnexpectedEof.into())),
+        )
     }
 }
 
 /// One connection: starts its writer, then reads on this thread until end
 /// of input (the peer's, or the shutdown watcher's), a transport error,
-/// an over-cap buffer, or the service's shutdown. Returns once every reply
-/// has been written.
+/// the buffer cap, or the service's shutdown. Returns once every reply has
+/// been written.
 fn serve_connection(stream: &Arc<TcpStream>, service: &Service) {
     // Each reply goes out in one write once resolved; Nagle would only
     // hold a pipelined one back.
@@ -184,60 +224,36 @@ fn serve_connection(stream: &Arc<TcpStream>, service: &Service) {
             return;
         }
     };
-    let mut input = LineBuffer::default();
-    let mut buf = [0u8; 16 << 10];
-    loop {
-        match (&**stream).read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => input.push(&buf[..n]),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => break,
-        }
-        if !submit_blocks(&mut input, service, &replies) {
-            break;
-        }
-        if input.partial.len() + input.held > MAX_BUFFERED_BYTES {
-            // A peer this far ahead of the parser is not a grooming
-            // client; cut it loose.
-            let _ = stream.shutdown(Shutdown::Both);
-            break;
-        }
+    let mut lines = Lines::new(&**stream);
+    answer_requests(&mut lines, service, &replies);
+    if lines.over_cap() {
+        // A peer this far ahead of the parser is not a grooming client;
+        // cut it loose.
+        let _ = stream.shutdown(Shutdown::Both);
     }
     drop(replies);
     // A writer panic has already been reported by the panic hook.
     let _ = writer.join();
 }
 
-/// Carves every complete request block off `input` and answers or submits
-/// it. Returns `false` once the connection should stop reading: when the
-/// service's shutdown has begun (input is no longer consumed), or when its
-/// writer has gone.
-fn submit_blocks(
-    input: &mut LineBuffer,
+/// Parses each request block off `lines` and answers or submits it, until
+/// the input ends or fails, the service's shutdown has begun (input is no
+/// longer consumed), or the writer has gone.
+fn answer_requests<R: Read>(
+    lines: &mut Lines<R>,
     service: &Service,
     replies: &mpsc::Sender<PendingReply>,
-) -> bool {
-    while let Some(first) = input.lines.front() {
+) {
+    while let Ok(Some(first)) = lines.first_line() {
+        let parsed = protocol::parse_request(&first, lines, service.config());
         if service.is_shutting_down() {
-            return false;
+            return;
         }
-        // Blank lines and comments are allowed between blocks.
-        let t = first.trim();
-        if t.is_empty() || t.starts_with('#') {
-            input.take(1);
-            continue;
-        }
-        let Some(len) = block_bounds(&input.lines, service) else {
-            break; // incomplete — wait for more bytes
-        };
-        let mut block = input.take(len);
-        let first = block.next().expect("a block spans at least one line");
-        let mut rest = block.map(Ok::<String, io::Error>);
-        // On a parse error the rest of the *framed* block is dropped with
-        // it, so the stream resynchronizes at the block boundary instead
-        // of misreading payload lines as new requests.
-        let reply = match protocol::parse_request(first.trim(), &mut rest, service.config()) {
-            Err(RequestError::Io(_)) => unreachable!("in-memory lines never fail"),
+        let reply = match parsed {
+            // The input ended or failed inside the block.
+            Err(RequestError::Io(_)) => return,
+            // The parser has read the malformed block to its end, so the
+            // stream resynchronizes at the next one.
             Err(RequestError::Wire(e)) => PendingReply::Ready(format!("ERR {e}\n")),
             Ok(WireRequest::Ping) => PendingReply::Ready("PONG\n".to_string()),
             Ok(WireRequest::Stats) => PendingReply::Ready(protocol::format_stats(&service.stats())),
@@ -254,10 +270,9 @@ fn submit_blocks(
             }
         };
         if replies.send(reply).is_err() {
-            return false;
+            return;
         }
     }
-    true
 }
 
 /// The writer: answers slots in the order the reader sent them, waiting on
@@ -274,173 +289,6 @@ fn write_replies(mut stream: &TcpStream, slots: mpsc::Receiver<PendingReply>) {
             return;
         }
     }
-}
-
-/// Syntactic framing: how many buffered lines the next request block
-/// spans, or `None` if it is still incomplete.
-///
-/// The scanner consumes exactly what [`protocol::parse_request`] *could*
-/// consume: one line for simple verbs (and for headers the parser rejects
-/// before reading payload), and `BATCH`/`RECONFIGURE` arithmetic — per
-/// item, an ITEM line plus one demand block (or, for `reconfigure`
-/// stanzas, a demand block, a plan block, and two delta blocks), plus the
-/// `END` terminator — using the same declared-size fields and the same
-/// admission caps the parser enforces. An `END` where an `ITEM` was
-/// expected closes the block early (the parser reports the truncation as
-/// an error, and the stream stays in sync at the boundary).
-fn block_bounds(lines: &VecDeque<String>, service: &Service) -> Option<usize> {
-    let config = service.config();
-    let first = lines[0].trim();
-    let mut toks = first.split_whitespace();
-    if !matches!(toks.next(), Some("BATCH") | Some("RECONFIGURE")) {
-        return Some(1);
-    }
-    let mut count: Option<usize> = None;
-    for tok in toks {
-        if let Some(v) = tok.strip_prefix("count=") {
-            count = v.parse().ok();
-        }
-    }
-    // Headers the parser refuses without reading payload frame as one
-    // line: bad/missing count, or a batch that can never fit the queue.
-    let Some(count) = count else {
-        return Some(1);
-    };
-    if count > config.queue_capacity {
-        return Some(1);
-    }
-    let mut idx = 1;
-    for _ in 0..count {
-        // The ITEM line. A premature END ends the block here; the parser
-        // turns it into an UnexpectedEof-style error for the client.
-        let item = lines.get(idx)?;
-        let item = item.trim();
-        if item == "END" {
-            return Some(idx + 1);
-        }
-        let kind = item.split_whitespace().nth(1);
-        idx += 1;
-        if kind == Some("reconfigure") {
-            // prior demands, prior plan, added, removed — in that order.
-            for block in ["demands", "plan", "demands", "demands"] {
-                let (next, complete) = if block == "plan" {
-                    frame_plan_block(lines, idx, config)?
-                } else {
-                    frame_demand_block(lines, idx, config)?
-                };
-                if !complete {
-                    return Some(next);
-                }
-                idx = next;
-            }
-        } else {
-            // A mesh item carries its physical topology ahead of the
-            // demand list.
-            if kind == Some("mesh") {
-                let (next, complete) = frame_topology_block(lines, idx, config)?;
-                if !complete {
-                    return Some(next);
-                }
-                idx = next;
-            }
-            let (next, complete) = frame_demand_block(lines, idx, config)?;
-            if !complete {
-                return Some(next);
-            }
-            idx = next;
-        }
-    }
-    // The END terminator (the parser consumes it whatever it says).
-    lines.get(idx)?;
-    Some(idx + 1)
-}
-
-/// Frames one demand-list block starting at line `idx`. `Some((next,
-/// true))` spans the whole block; `Some((next, false))` means the parser
-/// refuses right after the header (frame the block as ending at `next`);
-/// `None` means more bytes are needed.
-fn frame_demand_block(
-    lines: &VecDeque<String>,
-    idx: usize,
-    config: &crate::service::ServiceConfig,
-) -> Option<(usize, bool)> {
-    // The demand-list header declares the entry count.
-    let header = lines.get(idx)?;
-    let mut peek = header.split_whitespace().skip(2);
-    let n = peek.next().and_then(|t| t.parse::<u64>().ok());
-    let m = peek.next().and_then(|t| t.parse::<u64>().ok());
-    let idx = idx + 1;
-    let (Some(n), Some(m)) = (n, m) else {
-        // Not header-shaped: the parser stops (with an error) right
-        // after reading it.
-        return Some((idx, false));
-    };
-    if n > config.max_nodes as u64 || m > config.max_units {
-        // The parser refuses oversized declarations before reading a
-        // single entry line; frame the block the same way.
-        return Some((idx, false));
-    }
-    let end = idx + m as usize;
-    if lines.len() < end {
-        return None;
-    }
-    Some((end, true))
-}
-
-/// Frames one `topology v1 <n> <m>` block (header + `n` node-capacity
-/// lines + `m` link lines), mirroring [`frame_demand_block`]'s contract
-/// and the parser's refusal points in `read_topology_block`.
-fn frame_topology_block(
-    lines: &VecDeque<String>,
-    idx: usize,
-    config: &crate::service::ServiceConfig,
-) -> Option<(usize, bool)> {
-    let header = lines.get(idx)?;
-    let mut peek = header.split_whitespace().skip(2);
-    let n = peek.next().and_then(|t| t.parse::<u64>().ok());
-    let m = peek.next().and_then(|t| t.parse::<u64>().ok());
-    let idx = idx + 1;
-    let (Some(n), Some(m)) = (n, m) else {
-        // Not header-shaped: the parser stops (with an error) right
-        // after reading it.
-        return Some((idx, false));
-    };
-    if n > config.max_nodes as u64 || m > config.max_units {
-        // Oversized declarations are refused before any body line.
-        return Some((idx, false));
-    }
-    let end = idx + (n + m) as usize;
-    if lines.len() < end {
-        return None;
-    }
-    Some((end, true))
-}
-
-/// Frames one `plan v1 <W>` block (header + `W` part lines), mirroring
-/// [`frame_demand_block`]'s contract and the parser's refusal points.
-fn frame_plan_block(
-    lines: &VecDeque<String>,
-    idx: usize,
-    config: &crate::service::ServiceConfig,
-) -> Option<(usize, bool)> {
-    let header = lines.get(idx)?;
-    let mut toks = header.split_whitespace();
-    let w = match (toks.next(), toks.next(), toks.next(), toks.next()) {
-        (Some("plan"), Some("v1"), Some(w), None) => w.parse::<u64>().ok(),
-        _ => None,
-    };
-    let idx = idx + 1;
-    let Some(w) = w else {
-        return Some((idx, false));
-    };
-    if w > config.max_units {
-        return Some((idx, false));
-    }
-    let end = idx + w as usize;
-    if lines.len() < end {
-        return None;
-    }
-    Some((end, true))
 }
 
 /// Classifies an accept error: transient ones are logged and skipped,
@@ -662,9 +510,8 @@ mod tests {
     }
 
     /// Mesh items carry a `topology v1` block ahead of the demand list;
-    /// the framer must span it or the link lines are misread as new
-    /// verbs (the regression this pins: `block_bounds` knew demand and
-    /// plan blocks but not topology, so a mesh batch died mid-stanza).
+    /// the request block must span it or the link lines are misread as
+    /// new verbs, and the mesh batch dies mid-stanza.
     #[test]
     fn mesh_batches_frame_across_the_topology_block() {
         let (service, server) = start_server(ServiceConfig {
@@ -675,7 +522,7 @@ mod tests {
         let mut stream = connect(server.addr());
 
         let batch = "BATCH id=9 count=1\nITEM mesh k=4 routes=2\ntopology v1 4 4\n* *\n2 6\n* *\n* *\n0 1\n1 2\n2 3\n0 3\ndemands v1 4 3\n0 2\n1 3\n0 1\nEND\n";
-        // Fragmented mid-ITEM-line and mid-topology: the framer must keep
+        // Fragmented mid-ITEM-line and mid-topology: the reader must keep
         // waiting for the rest rather than parse a truncated block.
         let (a, rest) = batch.split_at(40);
         let (b, c) = rest.split_at(30);
@@ -735,7 +582,7 @@ mod tests {
         service.shutdown();
     }
 
-    /// A client that dies mid-block neither wedges the poller nor poisons
+    /// A client that dies mid-block neither wedges the server nor poisons
     /// other connections.
     #[test]
     fn disconnect_mid_block_leaves_server_healthy() {
@@ -766,24 +613,88 @@ mod tests {
         service.shutdown();
     }
 
-    /// All the lines of one read split off in one pass. Draining the
+    /// End of input inside a block ends the connection without a reply to
+    /// that block, even when its header is already malformed; the replies
+    /// before it still arrive.
+    #[test]
+    fn end_of_input_mid_block_gets_no_reply() {
+        let (service, server) = start_server(ServiceConfig {
+            workers: 1,
+            ..Default::default()
+        });
+        let malformed = BATCH.replace("id=1", "id=x");
+        let halves = [
+            &BATCH[..9],
+            &BATCH[..19],
+            &BATCH[..30],
+            &BATCH[..BATCH.len() - 4],
+            // The terminator without its `\n` is not a line yet.
+            &BATCH[..BATCH.len() - 1],
+            &malformed[..19],
+            &malformed[..48],
+        ];
+        for half in halves {
+            let mut stream = connect(server.addr());
+            stream
+                .write_all(format!("PING\n{half}").as_bytes())
+                .unwrap();
+            stream.shutdown(Shutdown::Write).unwrap();
+            let mut reply = String::new();
+            stream.read_to_string(&mut reply).unwrap();
+            assert_eq!(reply, "PONG\n", "after {half:?}");
+        }
+        assert_eq!(service.stats().counters.accepted_requests, 0);
+
+        service.begin_shutdown();
+        server.join();
+        service.shutdown();
+    }
+
+    /// A plan block written one byte at a time gets the reply the same
+    /// request gets in one write.
+    #[test]
+    fn a_reconfigure_written_byte_by_byte_matches_one_write() {
+        let (service, server) = start_server(ServiceConfig {
+            workers: 1,
+            master_seed: 7,
+            cache_capacity: 0,
+            ..Default::default()
+        });
+        let mut stream = connect(server.addr());
+        stream.set_nodelay(true).unwrap();
+
+        let whole = roundtrip(&mut stream, RECONFIGURE, 3);
+        assert!(whole.starts_with("RESULT 2 count=1\nPLAN 0 sadms="));
+        for byte in RECONFIGURE.bytes() {
+            stream.write_all(&[byte]).unwrap();
+        }
+        assert_eq!(read_lines(&stream, 3), whole);
+        assert_eq!(service.stats().counters.reconfigures_completed, 2);
+
+        service.begin_shutdown();
+        server.join();
+        service.shutdown();
+    }
+
+    /// A burst splits into lines in one pass over its bytes. Draining a
     /// buffer's front once per line made this quadratic in the burst:
     /// minutes for these 2 MB instead of milliseconds.
     #[test]
     fn a_2mb_burst_splits_in_one_pass() {
         let lines = 1 << 19;
-        let mut input = LineBuffer::default();
-        input.push("0 1\n".repeat(lines).as_bytes());
-        input.push(b"2 3");
-        assert_eq!(input.lines.len(), lines);
-        assert!(input.lines.iter().all(|l| l == "0 1"));
-        assert_eq!(input.partial, b"2 3");
+        let burst = "0 1\n".repeat(lines) + "2 3";
         // The partial line completes on a later read; `\r\n` ends it too.
-        input.push(b"\r\n");
-        assert_eq!(input.lines.back().map(String::as_str), Some("2 3"));
-        assert!(input.partial.is_empty());
+        let mut input = Lines::new(burst.as_bytes().chain(&b"\r\n"[..]));
+        let mut got = Vec::new();
+        while let Some(line) = input.next_line().unwrap() {
+            got.push(line);
+        }
+        assert_eq!(got.len(), lines + 1);
+        assert!(got[..lines].iter().all(|l| l == "0 1"));
+        assert_eq!(got[lines], "2 3");
         assert_eq!(input.held, (lines + 1) * (3 + LINE_OVERHEAD));
-        assert_eq!(input.take(lines + 1).count(), lines + 1);
+        // The next block starts its charge afresh.
+        assert_eq!(input.first_line().unwrap(), None);
         assert_eq!(input.held, 0);
     }
 
@@ -824,8 +735,9 @@ mod tests {
     }
 
     /// Blank lines count against the buffer cap: a peer streaming
-    /// newlines into an open `BATCH` (the framer waits for its declared
-    /// 4M demand lines) is dropped, and other connections are unharmed.
+    /// newlines into an open `BATCH` (the parser reads them as its
+    /// declared 4M demand lines) is dropped, and other connections are
+    /// unharmed.
     #[test]
     fn a_blank_line_flood_inside_a_block_is_dropped_at_the_cap() {
         let (service, server) = start_server(ServiceConfig {
@@ -850,6 +762,117 @@ mod tests {
         let mut other = connect(server.addr());
         assert_eq!(roundtrip(&mut other, "PING\n", 1), "PONG\n");
         assert_eq!(service.stats().counters.accepted_requests, 0);
+
+        service.begin_shutdown();
+        server.join();
+        service.shutdown();
+    }
+
+    /// Malformed blocks, one per parse-error class and per point where a
+    /// block ends early, plus `\r\n` endings and the blank and `#` lines
+    /// allowed between blocks. [`malformed_blocks_resync_as_recorded`]
+    /// sends each one followed by `PING`. The server is configured with
+    /// `queue_capacity` 8 and `max_nodes` = `max_units` = 64.
+    const RESYNC_CORPUS: &[&[u8]] = &[
+        // Header errors under a usable count=: the block is read whole.
+        b"BATCH id=x count=1\nITEM ring k=4\ndemands v1 6 3\n0 1\n1 2\n2 5\nEND\n",
+        b"BATCH id=1 count=1 urgent\nITEM ring k=4\ndemands v1 6 3\n0 1\n1 2\n2 5\nEND\n",
+        b"BATCH id=1 count=1 algo=nope\nITEM ring k=4\ndemands v1 6 3\n0 1\n1 2\n2 5\nEND\n",
+        b"BATCH count=1\nITEM ring k=4\ndemands v1 6 3\n0 1\n1 2\n2 5\nEND\n",
+        b"BATCH id=1 deadline_ms=soon count=1\nITEM ring k=4\ndemands v1 6 1\n0 1\nEND\n",
+        b"BATCH id=1 count=1 color=red\nITEM ring k=4\ndemands v1 6 1\n0 1\nEND\n",
+        // The last count= sizes the block, even after an unparsable one.
+        b"BATCH id=1 count=x count=1\nITEM ring k=4\ndemands v1 6 1\n0 1\nEND\n",
+        // No usable count=, or one past the queue: the block is its header
+        // line, and what follows is read as new requests.
+        b"BATCH id=1\n",
+        b"BATCH id=1\nEND\n",
+        b"BATCH id=1 count=1 count=x\nEND\n",
+        b"BATCH id=1 count=9\nITEM ring k=4\n",
+        b"BATCH id=x count=9\n",
+        // END where an ITEM was due ends the block there.
+        b"BATCH id=1 count=2\nITEM ring k=4\ndemands v1 6 1\n0 1\nEND\n",
+        b"RECONFIGURE id=1 count=1\nEND\n",
+        b"BATCH id=x count=2\nITEM ring k=4\ndemands v1 6 1\n0 1\nEND\n",
+        // Item stanzas, read by their kind whatever their errors.
+        b"RECONFIGURE id=3 count=1\nITEM ring k=4\ndemands v1 6 3\n0 1\n1 2\n2 5\nEND\n",
+        b"RECONFIGURE id=3 count=1\nITEM mesh k=2 routes=2\ntopology v1 3 3\n* *\n* *\n* *\n\
+          0 1\n1 2\n2 0\ndemands v1 3 1\n0 1\nEND\n",
+        b"BATCH id=4 count=1\nITEM mesh k=2\ntopology v1 3 3\n* *\n* *\n* *\n\
+          0 1\n1 2\n2 0\ndemands v1 3 1\n0 1\nEND\n",
+        b"BATCH id=4 count=1\nITEM mesh k=2 routes=2\ntopology v1 3 3\n* *\n* *\n* *\n\
+          0 1\n1 2\n2 0\ndemands v1 4 1\n0 1\nEND\n",
+        b"BATCH id=5 count=1\nITEM warp k=4\ndemands v1 6 1\n0 0\nEND\n",
+        b"BATCH id=5 count=1\nITEM warp k=4\ndemands v1 6 1\n0 1\nEND\n",
+        b"BATCH id=5 count=1\nITEM ring k=0\ndemands v1 6 1\n0 1\nEND\n",
+        b"BATCH id=6 count=2\nITEM ring k=4\ndemands v1 6 2\n0 0\n1 2\n\
+          ITEM ring k=4\ndemands v1 6 1\n0 1\nEND\n",
+        b"BATCH id=6 count=1\nITEM weighted k=4\ndemands v1 4 2\n0 1 60\n1 2 60\nEND\n",
+        b"BATCH id=6 count=1\nITEM ring k=4\ndemands v1 6 2\n0 1\n\nEND\n",
+        b"BATCH id=7 count=1\nITEM ring k=4\ndemands v1 6 1\n0 1\nEXTRA\n",
+        // demands, topology and plan headers: not header-shaped, or past a
+        // cap, ends the block right after the header.
+        b"BATCH id=8 count=1\nITEM ring k=4\ndemands v1 six 1\n0 1\nEND\n",
+        b"BATCH id=8 count=1\nITEM ring k=4\ndemands v1 65 1\n0 1\nEND\n",
+        b"BATCH id=8 count=1\nITEM ring k=4\ndemands v1 6 65\n0 1\nEND\n",
+        b"BATCH id=8 count=1\nITEM ring k=4\ndemands v2 6 1\n0 1\nEND\n",
+        b"BATCH id=8 count=1\nITEM mesh k=2 routes=2\ntopology v1 3\n* *\nEND\n",
+        b"BATCH id=8 count=1\nITEM mesh k=2 routes=2\ntopology v1 65 1\n* *\nEND\n",
+        b"BATCH id=8 count=1\nITEM mesh k=2 routes=2\ntopology v1 3 65\n* *\nEND\n",
+        b"RECONFIGURE id=9 count=1\nITEM reconfigure k=2\ndemands v1 3 1\n0 1\nplans v1 1\n\
+          1 0\ndemands v1 3 0\ndemands v1 3 0\nEND\n",
+        b"RECONFIGURE id=9 count=1\nITEM reconfigure k=2\ndemands v1 3 1\n0 1\nplan v1 1 x\n\
+          1 0\ndemands v1 3 0\ndemands v1 3 0\nEND\n",
+        b"RECONFIGURE id=9 count=1\nITEM reconfigure k=2\ndemands v1 3 1\n0 1\nplan v1 65\n\
+          1 0\nEND\n",
+        b"RECONFIGURE id=9 count=1\nITEM reconfigure k=2\ndemands v1 4 3\n0 1\n1 2\n2 3\n\
+          plan v1 3\n1 0\n1 x\n1 2\ndemands v1 4 0\ndemands v1 4 0\nEND\n",
+        b"RECONFIGURE id=9 count=1\nITEM reconfigure k=2\ndemands v1 3 1\n0 1\nplan v1 1\n\
+          1 0\ndemands v1 4 0\ndemands v1 3 0\nEND\n",
+        // The first error stands when a later header ends the block.
+        b"RECONFIGURE id=9 count=1\nITEM reconfigure k=0\ndemands v1 3 1\n0 1\nplan v1 65\n\
+          1 0\nEND\n",
+        b"BATCH id=x count=2\nITEM ring k=4\ndemands v1 6 1\n0 1\n\
+          ITEM ring k=4\ndemands v1 6 65\n0 1\nEND\n",
+        // Simple verbs, invalid UTF-8, and what may sit between blocks.
+        b"PING now\n",
+        b"HELLO\n",
+        b"\xffPING\n",
+        b"BATCH id=10 count=1\nITEM ring k=\xff4\ndemands v1 6 1\n0 1\nEND\n",
+        b"BATCH id=10 count=1\nITEM ring k=4\ndemands v1 6 1\n0 \xff1\nEND\n",
+        b"\n   \n# a comment\n\r\n\t# indented\r\nPING\r\n",
+        b"BATCH id=11 count=1\r\nITEM ring k=4\r\ndemands v1 6 3\r\n0 1\r\n1 2\r\n2 5\r\nEND\r\n",
+        b"BATCH id=12 count=1\r\nITEM ring k=x\r\ndemands v1 6 1\r\n0 1\r\nEND\r\n",
+    ];
+
+    /// The replies to [`RESYNC_CORPUS`], recorded once from the front end
+    /// this one replaced and never edited: where each block ends, and what
+    /// it is answered, must not drift.
+    const RESYNC_TRANSCRIPT: &str = include_str!("../testdata/resync_transcript.txt");
+
+    /// Every malformed block is answered and the stream resynchronizes at
+    /// the next block, byte for byte as recorded.
+    #[test]
+    fn malformed_blocks_resync_as_recorded() {
+        let (service, server) = start_server(ServiceConfig {
+            workers: 1,
+            master_seed: 17,
+            queue_capacity: 8,
+            max_nodes: 64,
+            max_units: 64,
+            ..Default::default()
+        });
+        let mut stream = connect(server.addr());
+        let mut wire = Vec::new();
+        for case in RESYNC_CORPUS {
+            wire.extend_from_slice(case);
+            wire.extend_from_slice(b"PING\n");
+        }
+        stream.write_all(&wire).unwrap();
+        stream.shutdown(Shutdown::Write).unwrap();
+        let mut transcript = String::new();
+        stream.read_to_string(&mut transcript).unwrap();
+        assert_eq!(transcript, RESYNC_TRANSCRIPT);
 
         service.begin_shutdown();
         server.join();

@@ -14,17 +14,18 @@
 //!   per epoch, alternating the `RECONFIGURE` and `BATCH` wire verbs
 //!   (both admit reconfigure stanzas and answer identically).
 //!
-//! Byte equality closes the loop: the server's framing, parsing, queueing
-//! and response formatting reproduced the in-process solve exactly, for
-//! every epoch of a stochastic trace. Both sides must run a service with
-//! the same [`ServiceConfig`] (the content-derived item seed makes worker
-//! count irrelevant, but the master seed must match).
+//! Byte equality closes the loop: the server's line reading, parsing,
+//! queueing and response formatting reproduced the in-process solve
+//! exactly, for every epoch of a stochastic trace, including epochs whose
+//! item fails (an `ERROR` line inside the `RESULT` block). Both sides must
+//! run a service with the same [`ServiceConfig`] (the content-derived item
+//! seed makes worker count irrelevant, but the master seed must match).
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use grooming::solve::Instance;
-use grooming_service::protocol::{format_batch_request, format_reconfigure_request};
+use grooming_service::protocol::{format_batch_request, format_reconfigure_request, read_reply};
 use grooming_service::{Client, Request, RequestOptions, Service, ServiceConfig};
 
 /// What one soak replay produced.
@@ -76,23 +77,7 @@ pub fn replay_tcp<A: ToSocketAddrs>(addr: A, epochs: &[Instance]) -> std::io::Re
         }
         .expect("recorded epochs are always wire-expressible");
         writer.write_all(wire.as_bytes())?;
-        // Read one response: lines up to and including END (or a
-        // single-line ERR/REJECTED).
-        loop {
-            let mut line = String::new();
-            if reader.read_line(&mut line)? == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "groomd closed mid-response",
-                ));
-            }
-            let done =
-                line.starts_with("END") || line.starts_with("ERR") || line.starts_with("REJECTED");
-            transcript.push_str(&line);
-            if done {
-                break;
-            }
-        }
+        transcript.push_str(&read_reply(&mut reader)?);
     }
     Ok(transcript)
 }
@@ -124,6 +109,7 @@ mod tests {
     use super::*;
     use crate::engine::run_recording;
     use crate::scenario::Scenario;
+    use grooming::partition::EdgePartition;
     use grooming_service::tcp;
     use std::net::TcpListener;
 
@@ -154,6 +140,61 @@ mod tests {
             assert_soak_matches(addr, &out.epochs, soak_config()).expect("soak replay completes");
         assert_eq!(report.epochs, out.epochs.len());
         assert!(report.transcript_bytes > 0);
+
+        service.begin_shutdown();
+        server.join();
+        service.shutdown();
+    }
+
+    /// Drops the first edge of `epoch`'s prior plan, so the solver refuses
+    /// the plan and the reply carries an `ERROR` line.
+    fn with_an_uncovered_prior_edge(epoch: &Instance) -> Instance {
+        let Instance::Reconfigure {
+            demands,
+            prior,
+            delta,
+            k,
+        } = epoch
+        else {
+            panic!("groomsim records reconfigure epochs only");
+        };
+        let mut parts = prior.parts().to_vec();
+        let part = parts
+            .iter_mut()
+            .find(|part| !part.is_empty())
+            .expect("the epoch's prior plan carries an edge");
+        part.remove(0);
+        Instance::reconfigure(
+            demands.clone(),
+            EdgePartition::new(parts),
+            delta.clone(),
+            *k,
+        )
+    }
+
+    /// A failed item's reply still runs through its `END`: the replay must
+    /// not stop at the `ERROR` line, or the last epoch loses its `END` and
+    /// every epoch after a failed one reads the reply before its own.
+    #[test]
+    fn tcp_soak_matches_when_epochs_fail() {
+        let mut scenario = Scenario::ring(6, 3);
+        scenario.horizon = 8_000;
+        let mut epochs = run_recording(&scenario).epochs;
+        assert!(epochs.len() >= 4, "soak needs a few epochs to bite");
+        let (middle, last) = (epochs.len() / 2, epochs.len() - 1);
+        for i in [middle, last] {
+            epochs[i] = with_an_uncovered_prior_edge(&epochs[i]);
+        }
+
+        let service = Service::start(soak_config());
+        let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
+        let addr = listener.local_addr().expect("bound address");
+        let server = tcp::serve(listener, &service).expect("tcp serve on loopback");
+
+        let transcript = replay_tcp(addr, &epochs).expect("soak replay completes");
+        assert_eq!(transcript.matches("\nERROR 0 ").count(), 2);
+        assert!(transcript.ends_with("END\n"));
+        assert_soak_matches(addr, &epochs, soak_config()).expect("soak replay completes");
 
         service.begin_shutdown();
         server.join();
