@@ -5,7 +5,9 @@
 //! two-layer problem:
 //!
 //! * **layer 0 — routing**: each demand picks a loopless path over the
-//!   [`Topology`] from its Yen candidate set ([`route_demands`]);
+//!   [`Topology`] from its Yen candidate set ([`route_demands`]), which
+//!   the solve context's workspace remembers per topology in a
+//!   [`RouteTable`];
 //! * **layer 1 — grooming**: routed demands are `k`-edge-partitioned into
 //!   wavelength circles by the existing partition solvers (each part is a
 //!   generalized UPSR circle spanning the union of its members' routes),
@@ -44,7 +46,7 @@
 //! just fixed).
 
 use grooming_graph::ids::{EdgeId, NodeId};
-use grooming_graph::topology::{RoutePath, Topology};
+use grooming_graph::topology::{RoutePath, RouteTable, Topology};
 use grooming_sonet::demand::{DemandPair, DemandSet};
 
 use crate::partition::EdgePartition;
@@ -57,8 +59,11 @@ pub struct RoutedDemands {
     /// The chosen route per demand (`routes[i]` serves
     /// `demands.pairs()[i]`).
     pub routes: Vec<RoutePath>,
-    /// Total Yen candidates enumerated across all demands.
+    /// Total Yen candidates considered across all demands, whether the
+    /// route table held them or not.
     pub routes_evaluated: u64,
+    /// Demands whose candidates the route table already held.
+    pub route_table_hits: u64,
     /// The bottleneck: the highest number of chosen routes crossing any
     /// single fiber link.
     pub max_link_load: u32,
@@ -68,6 +73,10 @@ pub struct RoutedDemands {
 /// candidates per demand, choosing the one that minimizes the bottleneck
 /// link load it would create (ties resolve to the earliest candidate,
 /// i.e. the (length, lex-path) order).
+///
+/// Candidates come from `table`, which computes the ones it does not hold
+/// yet (see [`RouteTable`]); the routes chosen never depend on what it
+/// held.
 ///
 /// Errors with [`SolveError::Capacity`] on a demand with *no* route at
 /// all (endpoints disconnected in the topology) — structural
@@ -85,47 +94,47 @@ pub fn route_demands(
     topology: &Topology,
     demands: &DemandSet,
     route_limit: usize,
+    table: &mut RouteTable,
 ) -> Result<RoutedDemands, SolveError> {
     assert_eq!(
         demands.num_nodes(),
         topology.num_nodes(),
         "demand set and topology must agree on the node count"
     );
-    let limit = route_limit.max(1);
+    let mut table = table.bind(topology, route_limit.max(1));
     let mut load = vec![0u32; topology.num_links()];
     let mut routes = Vec::with_capacity(demands.len());
     let mut routes_evaluated = 0u64;
+    let mut route_table_hits = 0u64;
     let mut max_link_load = 0u32;
     for &p in demands.pairs() {
-        let mut candidates = topology.k_shortest_paths(p.lo(), p.hi(), limit);
+        let (candidates, hit) = table.candidates(p.lo(), p.hi());
         routes_evaluated += candidates.len() as u64;
-        if candidates.is_empty() {
-            return Err(SolveError::Capacity { pair: p });
-        }
-        let mut best = 0usize;
-        let mut best_bottleneck = u32::MAX;
-        for (i, c) in candidates.iter().enumerate() {
-            let bottleneck = c
-                .links
+        route_table_hits += u64::from(hit);
+        let mut best: Option<(&[EdgeId], u32)> = None;
+        for links in candidates {
+            let bottleneck = links
                 .iter()
                 .map(|&e| load[e.index()] + 1)
                 .max()
                 .unwrap_or(0);
-            if bottleneck < best_bottleneck {
-                best_bottleneck = bottleneck;
-                best = i;
+            if best.is_none_or(|(_, b)| bottleneck < b) {
+                best = Some((links, bottleneck));
             }
         }
-        let chosen = candidates.swap_remove(best);
-        for &e in &chosen.links {
+        let Some((chosen, _)) = best else {
+            return Err(SolveError::Capacity { pair: p });
+        };
+        for &e in chosen {
             load[e.index()] += 1;
             max_link_load = max_link_load.max(load[e.index()]);
         }
-        routes.push(chosen);
+        routes.push(topology.route_along(p.lo(), chosen));
     }
     Ok(RoutedDemands {
         routes,
         routes_evaluated,
+        route_table_hits,
         max_link_load,
     })
 }
@@ -205,13 +214,13 @@ fn accumulate_usage(
 pub(crate) fn enforce_caps(
     topology: &Topology,
     demands: &DemandSet,
-    routes: &[RoutePath],
+    routes: Vec<RoutePath>,
     partition: EdgePartition,
     k: usize,
 ) -> CapacityOutcome {
     let mut outcome = CapacityOutcome {
         carried: demands.clone(),
-        routes: routes.to_vec(),
+        routes,
         partition,
         blocked: Vec::new(),
         parts_repaired: 0,
@@ -286,13 +295,14 @@ pub(crate) fn enforce_caps(
         let mut old_to_new = vec![u32::MAX; outcome.carried.len()];
         let mut carried = DemandSet::new(n);
         let mut routes = Vec::with_capacity(outcome.routes.len());
-        for (i, &p) in outcome.carried.pairs().iter().enumerate() {
+        let survivors = std::mem::take(&mut outcome.routes).into_iter();
+        for (i, (&p, route)) in outcome.carried.pairs().iter().zip(survivors).enumerate() {
             if dropped[i] {
                 continue;
             }
             old_to_new[i] = carried.len() as u32;
             carried.add(p.lo(), p.hi());
-            routes.push(outcome.routes[i].clone());
+            routes.push(route);
         }
         let mut seed_parts: Vec<Vec<EdgeId>> = Vec::with_capacity(parts.len());
         let mut vacated: Vec<usize> = Vec::new();
@@ -344,7 +354,7 @@ mod tests {
         for _ in 0..3 {
             demands.add(NodeId(0), NodeId(3));
         }
-        let routed = route_demands(&topo, &demands, 4).unwrap();
+        let routed = route_demands(&topo, &demands, 4, &mut RouteTable::default()).unwrap();
         assert_eq!(routed.routes_evaluated, 6, "two candidates per demand");
         assert_eq!(
             routed.routes[0].nodes,
@@ -368,7 +378,7 @@ mod tests {
         let topo = Topology::uniform(g);
         let mut demands = DemandSet::new(4);
         demands.add(NodeId(0), NodeId(3));
-        let err = route_demands(&topo, &demands, 2).unwrap_err();
+        let err = route_demands(&topo, &demands, 2, &mut RouteTable::default()).unwrap_err();
         assert_eq!(err, SolveError::Capacity { pair: pair(0, 3) });
     }
 
@@ -377,7 +387,7 @@ mod tests {
         let topo = Topology::ring(5);
         let mut demands = DemandSet::new(5);
         demands.add(NodeId(0), NodeId(2));
-        let routed = route_demands(&topo, &demands, 0).unwrap();
+        let routed = route_demands(&topo, &demands, 0, &mut RouteTable::default()).unwrap();
         assert_eq!(routed.routes[0].length, 2);
     }
 
@@ -388,9 +398,9 @@ mod tests {
         for (a, b) in [(0, 4), (1, 5), (2, 6)] {
             demands.add(NodeId(a), NodeId(b));
         }
-        let routed = route_demands(&topo, &demands, 2).unwrap();
+        let routed = route_demands(&topo, &demands, 2, &mut RouteTable::default()).unwrap();
         let partition = EdgePartition::new(vec![vec![EdgeId(0), EdgeId(1), EdgeId(2)]]);
-        let out = enforce_caps(&topo, &demands, &routed.routes, partition.clone(), 3);
+        let out = enforce_caps(&topo, &demands, routed.routes, partition.clone(), 3);
         assert_eq!(out.partition.parts(), partition.parts());
         assert!(out.blocked.is_empty());
         assert_eq!(out.carried.pairs(), demands.pairs());
@@ -413,10 +423,10 @@ mod tests {
         demands.add(NodeId(0), NodeId(2)); // e1, part 0
         demands.add(NodeId(0), NodeId(3)); // e2, part 1 (1 demand at node 0)
         demands.add(NodeId(1), NodeId(2)); // e3, part 1
-        let routed = route_demands(&topo, &demands, 2).unwrap();
+        let routed = route_demands(&topo, &demands, 2, &mut RouteTable::default()).unwrap();
         let partition =
             EdgePartition::new(vec![vec![EdgeId(0), EdgeId(1)], vec![EdgeId(2), EdgeId(3)]]);
-        let out = enforce_caps(&topo, &demands, &routed.routes, partition, 2);
+        let out = enforce_caps(&topo, &demands, routed.routes, partition, 2);
         assert_eq!(out.blocked, vec![pair(0, 3)]);
         assert_eq!(out.carried.pairs(), &[pair(0, 1), pair(0, 2), pair(1, 2)]);
         assert_eq!(out.routes.len(), 3);
@@ -439,9 +449,9 @@ mod tests {
         let mut demands = DemandSet::new(4);
         demands.add(NodeId(0), NodeId(2));
         demands.add(NodeId(1), NodeId(3));
-        let routed = route_demands(&topo, &demands, 2).unwrap();
+        let routed = route_demands(&topo, &demands, 2, &mut RouteTable::default()).unwrap();
         let partition = EdgePartition::new(vec![vec![EdgeId(0)], vec![EdgeId(1)]]);
-        let out = enforce_caps(&topo, &demands, &routed.routes, partition, 2);
+        let out = enforce_caps(&topo, &demands, routed.routes, partition, 2);
         assert_eq!(out.blocked, vec![pair(1, 3)]);
         assert_eq!(out.carried.pairs(), &[pair(0, 2)]);
     }
@@ -460,15 +470,9 @@ mod tests {
                 demands.add(NodeId(a), NodeId(b));
             }
         }
-        let routed = route_demands(&topo, &demands, 3).unwrap();
+        let routed = route_demands(&topo, &demands, 3, &mut RouteTable::default()).unwrap();
         let parts: Vec<Vec<EdgeId>> = (0..demands.len()).map(|i| vec![EdgeId::new(i)]).collect();
-        let out = enforce_caps(
-            &topo,
-            &demands,
-            &routed.routes,
-            EdgePartition::new(parts),
-            1,
-        );
+        let out = enforce_caps(&topo, &demands, routed.routes, EdgePartition::new(parts), 1);
         assert_eq!(out.carried.len() + out.blocked.len(), demands.len());
         let (ports, switch) = accumulate_usage(out.partition.parts(), &out.carried, &out.routes, 6);
         for v in 0..6 {

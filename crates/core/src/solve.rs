@@ -114,9 +114,18 @@ pub struct SolveStats {
     /// Occupancy churn spent by warm-start repairs' re-optimization (what
     /// [`SolveConfig::rearrange_budget`] bounds).
     pub sadms_moved: u64,
-    /// Yen route candidates enumerated by mesh solves
-    /// ([`Instance::Mesh`]): one per (demand, candidate) pair.
+    /// Yen route candidates considered by mesh solves
+    /// ([`Instance::Mesh`]): one per (demand, candidate) pair, whether
+    /// the route table held them or not.
     pub routes_evaluated: u64,
+    /// Mesh demands whose candidates came from the workspace's route
+    /// table ([`grooming_graph::topology::RouteTable`]) instead of a fresh
+    /// Yen search. Unlike the other counters it depends on the
+    /// workspace's history (which topology, and which pairs on it, were
+    /// routed before), so a service's total varies with how requests
+    /// fall across its workers. Write-only: it never feeds back into a
+    /// plan.
+    pub route_table_hits: u64,
     /// Add/drop ports occupied by mesh plans after capacity repair —
     /// `Σ|T_i|` over wavelength parts, the mesh form of the SADM cost.
     pub groom_ports_used: u64,
@@ -185,6 +194,7 @@ impl SolveStats {
         self.parts_repaired += other.parts_repaired;
         self.sadms_moved += other.sadms_moved;
         self.routes_evaluated += other.routes_evaluated;
+        self.route_table_hits += other.route_table_hits;
         self.groom_ports_used += other.groom_ports_used;
         self.blocked_demands += other.blocked_demands;
         self.lower_bound += other.lower_bound;
@@ -251,7 +261,8 @@ impl SolveContext {
     /// Replaces the scratch workspace — the handle a worker pool uses to
     /// thread one *warm* [`Workspace`] through many short-lived contexts
     /// (pair with [`Self::into_workspace`] to get it back). Workspace
-    /// contents never influence results, only allocation traffic.
+    /// contents never influence results, only allocation traffic and,
+    /// through its route table, how long mesh routing takes.
     pub fn with_workspace(mut self, workspace: Workspace) -> Self {
         self.workspace = workspace;
         self
@@ -995,19 +1006,30 @@ where
             // until the partition stage, exactly where the UPSR path
             // starts drawing, so a ring topology reproduces `Upsr`
             // byte-identically.
-            let routed = crate::mesh::route_demands(topology, demands, *routes)?;
+            let routed = crate::mesh::route_demands(
+                topology,
+                demands,
+                *routes,
+                &mut ctx.workspace.route_table,
+            )?;
             ctx.stats.routes_evaluated += routed.routes_evaluated;
+            ctx.stats.route_table_hits += routed.route_table_hits;
             let g = demands.to_traffic_graph();
             ctx.stats.lower_bound += crate::bounds::lower_bound(&g, *k) as u64;
             // Layer 1: groom, then repair against node capacities.
             let (partition, timed) = solve_partition(&g, *k, ctx)?;
             let repaired =
-                crate::mesh::enforce_caps(topology, demands, &routed.routes, partition, *k);
+                crate::mesh::enforce_caps(topology, demands, routed.routes, partition, *k);
             ctx.stats.parts_repaired += repaired.parts_repaired;
             ctx.stats.sadms_moved += repaired.sadms_moved;
             ctx.stats.swaps_evaluated += repaired.swaps_evaluated;
             ctx.stats.blocked_demands += repaired.blocked.len() as u64;
-            let g_carried = repaired.carried.to_traffic_graph();
+            // Nothing blocked: the carried demands are the offered ones.
+            let g_carried = if repaired.blocked.is_empty() {
+                g
+            } else {
+                repaired.carried.to_traffic_graph()
+            };
             let outcome =
                 crate::pipeline::assemble(&repaired.carried, &g_carried, *k, repaired.partition);
             ctx.stats.groom_ports_used += outcome.report.sadm_total as u64;
@@ -1597,6 +1619,43 @@ mod tests {
             .validate(&carried.to_traffic_graph(), 4)
             .unwrap();
         assert_eq!(ctx.stats().sadms_moved, 0, "capacity repair never moves");
+    }
+
+    #[test]
+    fn mesh_plans_do_not_depend_on_the_route_table() {
+        // One mesh item solved on a cold workspace, on one whose route
+        // table another topology filled, and on one this topology filled:
+        // byte-identical plans and candidate counts; only the hits differ.
+        use grooming_graph::topology::NodeCaps;
+        let grid = || generators::grid(5, 5);
+        let topology = Topology::new(grid(), vec![1; 40], vec![NodeCaps::new(3, 8); 25]);
+        let mut weights = vec![1; 40];
+        weights[7] = 3;
+        let other = Topology::new(grid(), weights, vec![NodeCaps::UNLIMITED; 25]);
+        let demands = DemandSet::random(25, 60, &mut StdRng::seed_from_u64(21));
+        let item = Instance::mesh(topology, demands.clone(), 4, 3);
+        let solve = |instance: &Instance, workspace: Workspace| {
+            let mut ctx = SolveContext::seeded(9).with_workspace(workspace);
+            let plan = PortfolioSolver::default()
+                .solve(instance, &mut ctx)
+                .unwrap()
+                .plan;
+            let stats = ctx.stats().clone();
+            (format!("{plan:?}"), stats, ctx.into_workspace())
+        };
+        let warmup = DemandSet::random(25, 40, &mut StdRng::seed_from_u64(22));
+        let warmed_by_other = solve(&Instance::mesh(other, warmup, 4, 3), Workspace::new()).2;
+        let (cold, cold_stats, _) = solve(&item, Workspace::new());
+        let (stale, stale_stats, _) = solve(&item, warmed_by_other);
+        let (warm, warm_stats, _) = solve(&item, solve(&item, Workspace::new()).2);
+        assert_eq!(stale, cold);
+        assert_eq!(warm, cold);
+        assert_eq!(stale_stats.routes_evaluated, cold_stats.routes_evaluated);
+        assert_eq!(warm_stats.routes_evaluated, cold_stats.routes_evaluated);
+        // Cold tables hit only on pairs repeated inside the item.
+        assert_eq!(stale_stats.route_table_hits, cold_stats.route_table_hits);
+        assert!(cold_stats.route_table_hits < demands.len() as u64);
+        assert_eq!(warm_stats.route_table_hits, demands.len() as u64);
     }
 
     #[test]

@@ -28,9 +28,16 @@
 //!
 //! Ties between parallel links of equal weight resolve to the smallest
 //! [`EdgeId`] when a route is materialized into link ids.
+//!
+//! # Routing once per topology
+//!
+//! Each reverse Dijkstra stops as soon as it settles the node its lex
+//! walk starts from, which is exact (see `dist_to`). A [`RouteTable`]
+//! remembers the answers for one topology and route limit, so a caller
+//! that routes over the same fiber plant again pays a lookup instead.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
 use crate::graph::Graph;
 use crate::ids::{EdgeId, NodeId};
@@ -173,20 +180,37 @@ impl Topology {
         self.caps.iter().all(|&c| c == NodeCaps::UNLIMITED)
     }
 
-    /// Reverse Dijkstra: distance from every node *to* `t`, skipping
-    /// banned nodes and banned node pairs. `u64::MAX` marks unreachable.
-    fn dist_to(&self, t: NodeId, banned_node: &[bool], banned_hop: &BannedHops) -> Vec<u64> {
+    /// Reverse Dijkstra into `search.dist`: the distance from every node
+    /// *to* `t`, skipping banned nodes and banned node pairs, stopping as
+    /// soon as it settles `stop`. `u64::MAX` marks unreachable.
+    ///
+    /// The early stop is exact for the lex walk from `stop`. The walk
+    /// reads only nodes strictly closer to `t` than `stop`, and those are
+    /// settled (final) by then. A node left unsettled holds a tentative
+    /// distance of at least `dist[stop]`, so it fails the walk's
+    /// `dist[u] + w == need` test just as its final distance would.
+    fn dist_to(&self, t: NodeId, stop: NodeId, search: &mut Search) {
         let csr = self.graph.csr();
-        let mut dist = vec![u64::MAX; self.graph.num_nodes()];
+        let Search {
+            dist,
+            heap,
+            banned_node,
+            banned_hop,
+        } = search;
+        dist.clear();
+        dist.resize(self.graph.num_nodes(), u64::MAX);
+        heap.clear();
         if banned_node[t.index()] {
-            return dist;
+            return;
         }
-        let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
         dist[t.index()] = 0;
         heap.push(Reverse((0, t.0)));
         while let Some(Reverse((d, v))) = heap.pop() {
             if d > dist[v as usize] {
                 continue;
+            }
+            if v == stop.0 {
+                break;
             }
             for &(u, e) in csr.incident(NodeId(v)) {
                 if banned_node[u.index()] || banned_hop.contains(NodeId(v), u) {
@@ -199,20 +223,19 @@ impl Topology {
                 }
             }
         }
-        dist
     }
 
     /// The lex walk: from `s`, repeatedly step to the smallest-id neighbor
-    /// that stays on a shortest path to the target of `dist`. Yields the
-    /// (length, lex-path)-minimal path. Weights are >= 1, so `dist`
-    /// strictly decreases and the walk cannot cycle.
-    fn lex_walk(
-        &self,
-        s: NodeId,
-        dist: &[u64],
-        banned_node: &[bool],
-        banned_hop: &BannedHops,
-    ) -> Option<RoutePath> {
+    /// that stays on a shortest path to the target of `search.dist`.
+    /// Yields the (length, lex-path)-minimal path. Weights are >= 1, so
+    /// the distance strictly decreases and the walk cannot cycle.
+    fn lex_walk(&self, s: NodeId, search: &Search) -> Option<RoutePath> {
+        let Search {
+            dist,
+            banned_node,
+            banned_hop,
+            ..
+        } = search;
         if dist[s.index()] == u64::MAX {
             return None;
         }
@@ -260,10 +283,9 @@ impl Topology {
         if s == t {
             return None;
         }
-        let banned_node = vec![false; self.num_nodes()];
-        let banned_hop = BannedHops::default();
-        let dist = self.dist_to(t, &banned_node, &banned_hop);
-        self.lex_walk(s, &dist, &banned_node, &banned_hop)
+        let mut search = Search::new(self.num_nodes());
+        self.dist_to(t, s, &mut search);
+        self.lex_walk(s, &search)
     }
 
     /// Up to `k` loopless shortest `s -> t` paths by **Yen's algorithm**,
@@ -277,59 +299,57 @@ impl Topology {
         if k == 0 || s == t {
             return Vec::new();
         }
-        let n = self.num_nodes();
-        let mut accepted: Vec<RoutePath> = Vec::new();
-        let mut banned_node = vec![false; n];
-        let mut banned_hop = BannedHops::default();
-        let dist = self.dist_to(t, &banned_node, &banned_hop);
-        match self.lex_walk(s, &dist, &banned_node, &banned_hop) {
-            Some(first) => accepted.push(first),
-            None => return Vec::new(),
-        }
-
+        let mut search = Search::new(self.num_nodes());
+        self.dist_to(t, s, &mut search);
+        let Some(first) = self.lex_walk(s, &search) else {
+            return Vec::new();
+        };
+        // Every route found so far, accepted or waiting as a candidate: a
+        // spur path equal to one of them is not added again.
+        let mut seen: HashSet<Vec<NodeId>> = HashSet::from([first.nodes.clone()]);
+        let mut accepted = vec![first];
         let mut candidates: Vec<RoutePath> = Vec::new();
         while accepted.len() < k {
-            let prev = accepted.last().unwrap().clone();
+            let prev = &accepted[accepted.len() - 1];
             for i in 0..prev.nodes.len() - 1 {
                 let spur = prev.nodes[i];
                 let root = &prev.nodes[..=i];
                 // Ban the next hop of every accepted path sharing this
                 // root — as a node pair, so parallel links are banned
                 // together and the route list stays edge-order invariant.
-                banned_hop.clear();
+                search.banned_hop.clear();
                 for p in &accepted {
                     if p.nodes.len() > i && p.nodes[..=i] == *root {
-                        banned_hop.insert(p.nodes[i], p.nodes[i + 1]);
+                        search.banned_hop.insert(p.nodes[i], p.nodes[i + 1]);
                     }
                 }
                 // Ban the root nodes (except the spur) to keep paths
                 // loopless.
                 for v in &root[..i] {
-                    banned_node[v.index()] = true;
+                    search.banned_node[v.index()] = true;
                 }
-                let dist = self.dist_to(t, &banned_node, &banned_hop);
-                if let Some(tail) = self.lex_walk(spur, &dist, &banned_node, &banned_hop) {
+                self.dist_to(t, spur, &mut search);
+                if let Some(tail) = self.lex_walk(spur, &search) {
                     let mut nodes = root[..i].to_vec();
                     nodes.extend_from_slice(&tail.nodes);
-                    let mut links = prev.links[..i].to_vec();
-                    links.extend_from_slice(&tail.links);
-                    let length = prev.links[..i]
-                        .iter()
-                        .map(|&e| self.weights[e.index()] as u64)
-                        .sum::<u64>()
-                        + tail.length;
-                    let cand = RoutePath {
-                        nodes,
-                        links,
-                        length,
-                    };
-                    let known = accepted.iter().chain(candidates.iter());
-                    if !known.into_iter().any(|p| p.nodes == cand.nodes) {
-                        candidates.push(cand);
+                    if !seen.contains(&nodes) {
+                        seen.insert(nodes.clone());
+                        let mut links = prev.links[..i].to_vec();
+                        links.extend_from_slice(&tail.links);
+                        let length = prev.links[..i]
+                            .iter()
+                            .map(|&e| self.weights[e.index()] as u64)
+                            .sum::<u64>()
+                            + tail.length;
+                        candidates.push(RoutePath {
+                            nodes,
+                            links,
+                            length,
+                        });
                     }
                 }
                 for v in &root[..i] {
-                    banned_node[v.index()] = false;
+                    search.banned_node[v.index()] = false;
                 }
             }
             // Promote the (length, lex-path)-minimal candidate.
@@ -344,6 +364,165 @@ impl Topology {
             accepted.push(candidates.swap_remove(best));
         }
         accepted
+    }
+
+    /// The route leaving `s` over `links` in order: its node sequence,
+    /// its links and its length. This is how a stored link sequence (see
+    /// [`RouteTable`]) becomes a [`RoutePath`] again.
+    ///
+    /// # Panics
+    /// Panics if a link does not leave the node the walk has reached.
+    pub fn route_along(&self, s: NodeId, links: &[EdgeId]) -> RoutePath {
+        let mut nodes = Vec::with_capacity(links.len() + 1);
+        nodes.push(s);
+        let mut cur = s;
+        let mut length = 0u64;
+        for &e in links {
+            let (u, v) = self.graph.endpoints(e);
+            cur = if u == cur {
+                v
+            } else {
+                assert_eq!(v, cur, "link {e:?} does not leave node {cur:?}");
+                u
+            };
+            nodes.push(cur);
+            length += self.weights[e.index()] as u64;
+        }
+        RoutePath {
+            nodes,
+            links: links.to_vec(),
+            length,
+        }
+    }
+}
+
+/// The buffers one routing query reuses across its reverse Dijkstras:
+/// the distance field, the heap, and the spur step's bans.
+struct Search {
+    dist: Vec<u64>,
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    banned_node: Vec<bool>,
+    banned_hop: BannedHops,
+}
+
+impl Search {
+    fn new(n: usize) -> Self {
+        Search {
+            dist: Vec::with_capacity(n),
+            heap: BinaryHeap::new(),
+            banned_node: vec![false; n],
+            banned_hop: BannedHops::default(),
+        }
+    }
+}
+
+/// The most link ids a [`RouteTable`] stores (4 MiB of them) before it
+/// empties itself and starts over, so a long-lived table stays bounded
+/// however many distinct pairs it is asked about.
+const ROUTE_TABLE_MAX_LINKS: usize = 1 << 20;
+
+/// Remembered [`Topology::k_shortest_paths`] answers for one topology and
+/// one route limit.
+///
+/// Routing is a pure function of (topology, s, t, k), and a planning
+/// service is asked about the same fiber plant again and again, so a
+/// table kept between solves (it lives in
+/// [`crate::workspace::Workspace`]) makes repeated routing a lookup. Its
+/// key is everything routing reads: the node count, the ordered link
+/// endpoints, the link weights and the route limit, compared in full on
+/// every [`RouteTable::bind`]. Any difference empties the table. Node
+/// capacities are not part of the key, since routing ignores them.
+///
+/// Candidates are stored as link ids in one flat arena, each pair's
+/// candidates contiguous and in Yen order. Once the arena would pass 2^20
+/// ids (4 MiB), the table empties itself and keeps going. Answers are
+/// always exactly what `k_shortest_paths` returns; only the time to
+/// produce them depends on what the table holds.
+#[derive(Debug, Default)]
+pub struct RouteTable {
+    nodes: usize,
+    links: Vec<(NodeId, NodeId)>,
+    weights: Vec<u32>,
+    limit: usize,
+    /// `(s, t)` → the range of its candidates in `spans`.
+    pairs: HashMap<(NodeId, NodeId), (u32, u32)>,
+    /// Per stored candidate, the range of its links in `arena`.
+    spans: Vec<(u32, u32)>,
+    arena: Vec<EdgeId>,
+}
+
+impl RouteTable {
+    /// Binds the table to `topology` and route limit `limit`, emptying it
+    /// unless both match the key its contents were computed under.
+    pub fn bind<'a>(&'a mut self, topology: &'a Topology, limit: usize) -> BoundRoutes<'a> {
+        let same = self.nodes == topology.num_nodes()
+            && self.limit == limit
+            && self.links == topology.graph.edge_list()
+            && self.weights == topology.weights;
+        if !same {
+            self.nodes = topology.num_nodes();
+            self.limit = limit;
+            self.links.clear();
+            self.links.extend_from_slice(topology.graph.edge_list());
+            self.weights.clear();
+            self.weights.extend_from_slice(&topology.weights);
+            self.clear_routes();
+        }
+        BoundRoutes {
+            table: self,
+            topology,
+        }
+    }
+
+    fn clear_routes(&mut self) {
+        self.pairs.clear();
+        self.spans.clear();
+        self.arena.clear();
+    }
+}
+
+/// A [`RouteTable`] bound to one topology and route limit (see
+/// [`RouteTable::bind`]).
+pub struct BoundRoutes<'a> {
+    table: &'a mut RouteTable,
+    topology: &'a Topology,
+}
+
+impl BoundRoutes<'_> {
+    /// The links of each of `topology.k_shortest_paths(s, t, limit)`, in
+    /// order, and `true` if the table already held them. On a miss they
+    /// are computed and stored.
+    pub fn candidates(
+        &mut self,
+        s: NodeId,
+        t: NodeId,
+    ) -> (impl ExactSizeIterator<Item = &[EdgeId]> + '_, bool) {
+        let table = &mut *self.table;
+        let stored = table.pairs.get(&(s, t)).copied();
+        let (first, count) = match stored {
+            Some(range) => range,
+            None => {
+                let paths = self.topology.k_shortest_paths(s, t, table.limit);
+                let links: usize = paths.iter().map(RoutePath::num_hops).sum();
+                if table.arena.len() + links > ROUTE_TABLE_MAX_LINKS {
+                    table.clear_routes();
+                }
+                let range = (table.spans.len() as u32, paths.len() as u32);
+                for p in &paths {
+                    let start = table.arena.len() as u32;
+                    table.arena.extend_from_slice(&p.links);
+                    table.spans.push((start, table.arena.len() as u32));
+                }
+                table.pairs.insert((s, t), range);
+                range
+            }
+        };
+        let arena = &table.arena;
+        let spans = &table.spans[first as usize..(first + count) as usize];
+        let links = spans
+            .iter()
+            .map(move |&(a, b)| &arena[a as usize..b as usize]);
+        (links, stored.is_some())
     }
 }
 
@@ -528,6 +707,32 @@ mod tests {
         assert_eq!(a, b);
         assert!(!a.is_empty());
     }
+
+    #[test]
+    fn route_table_starts_over_at_its_cap() {
+        // A 3000-node path: a pair's one route spans up to 2999 links, so
+        // a few hundred distinct pairs overrun the arena cap. (Limit 1: a
+        // spur search on a path explores the whole tail, and this test is
+        // about the arena, not about Yen.)
+        let topo = Topology::uniform(generators::path(3000));
+        let mut table = RouteTable::default();
+        let mut cleared = false;
+        for s in 0..600u32 {
+            let (s, t) = (NodeId(s), NodeId(2999 - s % 7));
+            let before = table.arena.len();
+            let served: Vec<RoutePath> = {
+                let mut bound = table.bind(&topo, 1);
+                let (candidates, hit) = bound.candidates(s, t);
+                assert!(!hit);
+                candidates.map(|links| topo.route_along(s, links)).collect()
+            };
+            assert_eq!(served, topo.k_shortest_paths(s, t, 1));
+            assert!(table.arena.len() <= ROUTE_TABLE_MAX_LINKS);
+            cleared |= table.arena.len() < before;
+        }
+        assert!(cleared, "600 long routes never reached the cap");
+        assert!(table.pairs.len() < 600);
+    }
 }
 
 #[cfg(test)]
@@ -560,6 +765,104 @@ mod route_props {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A route table walked through a random sequence of topologies on
+        /// the same nodes answers exactly what a fresh Yen search does,
+        /// and is kept exactly when the routing key is unchanged: a
+        /// caps-only step keeps it, a real change of a weight, a link's
+        /// endpoints, the link order or the route limit empties it.
+        #[test]
+        fn route_table_never_serves_a_stale_route(seed in any::<u64>()) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(5..=12);
+            let m = rng.gen_range(n..=(3 * n).min(n * (n - 1) / 2));
+            let mut links = generators::gnm(n, m, &mut rng).edge_list().to_vec();
+            let mut weights: Vec<u32> = (0..m).map(|_| rng.gen_range(1..=3)).collect();
+            let mut caps = vec![NodeCaps::UNLIMITED; n];
+            let mut limit = rng.gen_range(1..=4);
+            let mut table = RouteTable::default();
+            let mut key = None;
+            // The pairs asked since the key last changed: exactly these hit.
+            let mut asked = std::collections::HashSet::new();
+            for _ in 0..12 {
+                match rng.gen_range(0..5) {
+                    0 => {
+                        let e = rng.gen_range(0..m);
+                        weights[e] = weights[e] % 3 + 1;
+                    }
+                    1 => {
+                        let u = rng.gen_range(0..n as u32);
+                        let v = (u + rng.gen_range(1..n as u32)) % n as u32;
+                        links[rng.gen_range(0..m)] = (NodeId(u), NodeId(v));
+                    }
+                    2 => {
+                        for i in (1..m).rev() {
+                            let j = rng.gen_range(0..=i);
+                            links.swap(i, j);
+                            weights.swap(i, j);
+                        }
+                    }
+                    3 => limit = limit % 4 + 1,
+                    _ => {
+                        caps[rng.gen_range(0..n)] =
+                            NodeCaps::new(rng.gen_range(0..4), rng.gen_range(0..4));
+                    }
+                }
+                let mut g = Graph::new(n);
+                for &(u, v) in &links {
+                    g.add_edge(u, v);
+                }
+                let topo = Topology::new(g, weights.clone(), caps.clone());
+                let now = Some((links.clone(), weights.clone(), limit));
+                if key != now {
+                    key = now;
+                    asked.clear();
+                }
+                let mut bound = table.bind(&topo, limit);
+                for _ in 0..6 {
+                    let s = NodeId(rng.gen_range(0..n as u32));
+                    let t = NodeId(rng.gen_range(0..n as u32));
+                    let (candidates, hit) = bound.candidates(s, t);
+                    let served: Vec<RoutePath> = candidates
+                        .map(|links| topo.route_along(s, links))
+                        .collect();
+                    prop_assert_eq!(served, topo.k_shortest_paths(s, t, limit));
+                    prop_assert_eq!(hit, !asked.insert((s, t)));
+                }
+            }
+        }
+
+        /// A reverse Dijkstra that stops once it settles the walk's start
+        /// leads the lex walk along exactly the path a full one does, with
+        /// banned nodes and hops as in Yen's spur step.
+        #[test]
+        fn early_stopped_dijkstra_walks_like_a_full_one(seed in any::<u64>()) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(4..=16);
+            let m = rng.gen_range(n..=(3 * n).min(n * (n - 1) / 2));
+            let g = generators::gnm(n, m, &mut rng);
+            let weights = (0..m).map(|_| rng.gen_range(1..=4)).collect();
+            let topo = Topology::new(g, weights, vec![NodeCaps::UNLIMITED; n]);
+            let t = NodeId(rng.gen_range(0..n as u32));
+            let mut search = Search::new(n);
+            for v in 0..n {
+                search.banned_node[v] = NodeId(v as u32) != t && rng.gen_range(0..6) == 0;
+            }
+            for _ in 0..rng.gen_range(0..3) {
+                let (u, v) = topo.graph().endpoints(EdgeId::new(rng.gen_range(0..m)));
+                search.banned_hop.insert(u, v);
+            }
+            for s in (0..n as u32).map(NodeId) {
+                if search.banned_node[s.index()] {
+                    continue;
+                }
+                // No node has id u32::MAX, so this one never stops early.
+                topo.dist_to(t, NodeId(u32::MAX), &mut search);
+                let full = topo.lex_walk(s, &search);
+                topo.dist_to(t, s, &mut search);
+                prop_assert_eq!(topo.lex_walk(s, &search), full);
+            }
+        }
 
         #[test]
         fn routes_invariant_under_edge_order_permutation(

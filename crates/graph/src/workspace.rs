@@ -20,8 +20,16 @@
 //! ~4 × 10⁹ resets, when the array is physically zeroed). Every reset also
 //! bumps a lifetime counter, surfaced by [`Workspace::scratch_resets`] for
 //! instrumentation.
+//!
+//! One field is keyed state rather than scratch: [`Workspace::route_table`]
+//! keeps Yen routing answers between calls, valid for the one topology and
+//! route limit it was filled under and emptied whenever it is bound to
+//! another (see [`RouteTable`]). It changes how long routing takes, never
+//! what it returns. Every other buffer carries nothing from one call to
+//! the next but its capacity.
 
 use crate::ids::{EdgeId, NodeId};
+use crate::topology::RouteTable;
 use std::collections::VecDeque;
 
 /// A dense set over `0..len` with `O(1)` clearing via generation stamps.
@@ -128,7 +136,8 @@ impl StampedCounts {
 /// The shared scratch arena. Fields are public so `_in` functions can borrow
 /// several buffers at once (disjoint field borrows); each function resets
 /// the buffers it uses on entry, so no cross-call invariants exist beyond
-/// retained capacity.
+/// retained capacity — except in [`Self::route_table`], which is keyed by
+/// the topology it was filled for.
 #[derive(Debug, Default)]
 pub struct Workspace {
     /// Node-indexed visited set (primary traversal).
@@ -163,6 +172,9 @@ pub struct Workspace {
     pub walk_stack: Vec<(NodeId, Option<EdgeId>)>,
     /// Flat `(neighbor, edge)` pair buffer (counting-sorted adjacencies).
     pub pair_buf: Vec<(NodeId, EdgeId)>,
+    /// Mesh routing answers kept between solves, for the last topology
+    /// and route limit routed over.
+    pub route_table: RouteTable,
 }
 
 impl Workspace {

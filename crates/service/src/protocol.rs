@@ -367,7 +367,7 @@ fn parse_batch(
         }
         if line == "END" {
             // Where an ITEM was due, END closes the block early.
-            return Err(block.end(WireError::UnexpectedEof));
+            return Err(block.end(malformed("BATCH (END before count= items)", line)));
         }
         let item = match kind {
             Some("reconfigure") => parse_reconfigure_item(line, block)?,
@@ -948,11 +948,12 @@ pub fn format_rejected(id: u64, error: &SubmitError) -> String {
 
 /// Serializes a stats snapshot as a single `STATS` line.
 ///
-/// Counter fields are deterministic; the trailing `qwait_*`/`solve_*`
+/// Counter fields are deterministic, except `route_table_hits`: each
+/// worker keeps its own route table, so the count depends on which
+/// worker solved what before. The trailing `qwait_*`/`solve_*`
 /// percentile fields are wall-clock observations (histogram bucket upper
-/// bounds, in µs) and are the one part of the protocol that is *not*
-/// transcript-stable — determinism checks digest `BATCH` responses, not
-/// `STATS` lines.
+/// bounds, in µs). Neither is transcript-stable — determinism checks
+/// digest `BATCH` responses, not `STATS` lines.
 pub fn format_stats(snapshot: &StatsSnapshot) -> String {
     let c = &snapshot.counters;
     let s = &snapshot.solve;
@@ -964,7 +965,8 @@ pub fn format_stats(snapshot: &StatsSnapshot) -> String {
          queue_depth={} queued_cost={} in_flight={} workers={} \
          attempts={} swaps_evaluated={} scratch_resets={} stage_calls={} \
          parts_repaired={} sadms_moved={} \
-         routes_evaluated={} groom_ports_used={} blocked_demands={} lower_bound={} \
+         routes_evaluated={} route_table_hits={} groom_ports_used={} blocked_demands={} \
+         lower_bound={} \
          qwait_p50_us={} qwait_p99_us={} solve_p50_us={} solve_p99_us={}\n",
         c.accepted_requests,
         c.accepted_items,
@@ -990,6 +992,7 @@ pub fn format_stats(snapshot: &StatsSnapshot) -> String {
         s.parts_repaired,
         s.sadms_moved,
         s.routes_evaluated,
+        s.route_table_hits,
         s.groom_ports_used,
         s.blocked_demands,
         s.lower_bound,
@@ -1348,6 +1351,13 @@ mod tests {
             parse_str(text, &config),
             Err(RequestError::Wire(WireError::UnexpectedEof))
         ));
+        // END where an ITEM was due is a short batch, not the stream's end.
+        let text = "BATCH id=1 count=2\nITEM upsr k=4\ndemands v1 3 1\n0 1\nEND\n";
+        let err = parse_str(text, &config).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            r#"malformed BATCH (END before count= items): "END""#
+        );
     }
 
     #[test]

@@ -846,8 +846,10 @@ mod tests {
     ];
 
     /// The replies to [`RESYNC_CORPUS`], recorded once from the front end
-    /// this one replaced and never edited: where each block ends, and what
-    /// it is answered, must not drift.
+    /// this one replaced: where each block ends, and what it is answered,
+    /// must not drift. One reply was since changed on purpose: a `BATCH`
+    /// whose `END` arrives where an `ITEM` was due is told so, not that
+    /// the stream ended.
     const RESYNC_TRANSCRIPT: &str = include_str!("../testdata/resync_transcript.txt");
 
     /// Every malformed block is answered and the stream resynchronizes at
