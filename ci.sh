@@ -79,8 +79,14 @@ target/release/groomd_smoke
 echo "== perf smoke: improvement-engine baseline (release, --fast) =="
 # Asserts bit-identity between the incremental engine and the preserved
 # reference implementations on the baseline instance, and records the
-# fast-mode timings. The checked-in results/BENCH_improve.json is produced
-# by the full run: target/release/perf_improve
+# fast-mode timings. Its dense_first cell runs the whole DenseFirst packer
+# on mesh-metro's median traffic graph (gnm(100, 768), k = 16) against
+# reference::dense_first, asserts identical parts and RNG streams, and
+# exits non-zero below a 25x speedup floor (fourteen fast runs measured
+# 59-109x; the packer that enumerated every maximal clique per peel read
+# 3.7-4.7x). The checked-in
+# results/BENCH_improve.json is produced by the full run:
+# target/release/perf_improve
 target/release/perf_improve --fast --out /tmp/BENCH_improve_fast.json
 
 echo "== perf smoke: construction-pipeline baseline (release, --fast) =="

@@ -1,13 +1,17 @@
-//! Perf baseline for the improvement engine (refine / merge / anneal).
+//! Perf baseline for the improvement engine (refine / merge / anneal) and
+//! the DenseFirst packer.
 //!
 //! Runs the pipeline `SpanT_Euler base → refine → merge_parts → anneal` on
 //! fixed large instances twice per stage — once with the incremental engine
 //! (`grooming::improve`) and once with the preserved seed implementations
 //! (`grooming::improve::reference`) — asserts the outputs are
 //! **bit-identical**, and writes per-stage wall clock + cost + speedup to a
-//! JSON baseline (`results/BENCH_improve.json` by default). `ci.sh` runs
-//! the `--fast` variant in release mode so the perf trajectory of these hot
-//! paths is recorded on every change.
+//! JSON baseline (`results/BENCH_improve.json` by default). A `dense_first`
+//! cell does the same for the whole DenseFirst packer (clique peeling,
+//! leftovers, merge, refine; RNG streams in lockstep too) at mesh-metro's
+//! median traffic-graph shape. `ci.sh` runs the `--fast` variant in
+//! release mode, which exits non-zero if that cell's speedup falls below
+//! [`FAST_DENSE_FIRST_FLOOR`].
 //!
 //! Usage: `perf_improve [--fast] [--out PATH]`
 
@@ -21,7 +25,14 @@ use grooming_graph::generators;
 use grooming_graph::graph::Graph;
 use grooming_graph::spanning::TreeStrategy;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
+
+/// The least `dense_first` speedup over `reference::dense_first` the fast
+/// tier accepts. It measured 59–109× in fourteen runs on a shared 2-vCPU
+/// host; the floor sits under half the lowest, so a packer that goes back
+/// to enumerating every maximal clique per peel (3.7–4.7× over the
+/// reference) trips it and a noisy host does not.
+const FAST_DENSE_FIRST_FLOOR: f64 = 25.0;
 
 struct Opts {
     fast: bool,
@@ -195,6 +206,34 @@ fn run_instance(
     (stages, json)
 }
 
+/// Prints a one-stage instance and returns its JSON entry.
+fn single_stage_entry(name: &str, g: &Graph, k: usize, s: &StageResult) -> String {
+    println!(
+        "instance {name} (n={}, m={}, k={k}):",
+        g.num_nodes(),
+        g.num_edges()
+    );
+    println!(
+        "  {:<12} ref {:>9.3} ms   new {:>9.3} ms   speedup {:>6.2}x   cost {}   identical",
+        s.stage,
+        s.ref_ms,
+        s.new_ms,
+        s.speedup(),
+        s.cost
+    );
+    format!(
+        "    {{\n      \"name\": \"{name}\",\n      \"n\": {},\n      \"m\": {},\n      \"k\": {k},\n      \"stages\": [\n        {{\"stage\": \"{}\", \"ref_ms\": {:.3}, \"new_ms\": {:.3}, \"speedup\": {:.2}, \"cost\": {}, \"identical\": {}}}\n      ]\n    }}",
+        g.num_nodes(),
+        g.num_edges(),
+        s.stage,
+        s.ref_ms,
+        s.new_ms,
+        s.speedup(),
+        s.cost,
+        s.identical
+    )
+}
+
 /// Merge-only stage from an all-singletons partition — the workload where
 /// the cached overlap matrix matters: the reference re-scores every pair
 /// against `0..n` each round (O(rounds·W²·n)), the incremental version
@@ -214,33 +253,29 @@ fn run_singleton_merge(name: &str, g: &Graph, k: usize, reps: usize) -> String {
         s.identical,
         "{name}: incremental merge diverged from reference"
     );
-    println!(
-        "instance {name} (n={}, m={}, k={k}):",
-        g.num_nodes(),
-        g.num_edges()
-    );
-    println!(
-        "  {:<12} ref {:>9.3} ms   new {:>9.3} ms   speedup {:>6.2}x   cost {}   identical",
-        s.stage,
-        s.ref_ms,
-        s.new_ms,
-        s.speedup(),
-        s.cost
-    );
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "    {{\n      \"name\": \"{name}\",\n      \"n\": {},\n      \"m\": {},\n      \"k\": {k},\n      \"stages\": [\n        {{\"stage\": \"{}\", \"ref_ms\": {:.3}, \"new_ms\": {:.3}, \"speedup\": {:.2}, \"cost\": {}, \"identical\": {}}}\n      ]\n    }}",
-        g.num_nodes(),
-        g.num_edges(),
-        s.stage,
-        s.ref_ms,
-        s.new_ms,
-        s.speedup(),
-        s.cost,
-        s.identical
-    );
-    json
+    single_stage_entry(name, g, k, &s)
+}
+
+/// The whole DenseFirst packer against its seed version, from identical
+/// RNG streams: the outputs and the streams' next draws must agree.
+fn run_dense_first(name: &str, g: &Graph, k: usize, reps: usize) -> (StageResult, String) {
+    let run = |f: fn(&Graph, usize, &mut StdRng) -> EdgePartition| {
+        let mut rng = StdRng::seed_from_u64(43);
+        let p = f(g, k, &mut rng);
+        (p, rng.next_u64())
+    };
+    let (new_ms, (fast, fast_next)) = time_best(reps, || run(improve::dense_first));
+    let (ref_ms, (slow, slow_next)) = time_best(reps, || run(reference::dense_first));
+    let s = StageResult {
+        stage: "dense_first",
+        ref_ms,
+        new_ms,
+        cost: fast.sadm_cost(g),
+        identical: fast.parts() == slow.parts() && fast_next == slow_next,
+    };
+    assert!(s.identical, "{name}: dense_first diverged from reference");
+    let json = single_stage_entry(name, g, k, &s);
+    (s, json)
 }
 
 fn main() {
@@ -260,6 +295,11 @@ fn main() {
     let (stages, json) = run_instance("gnm_100_600_k16", &primary, 16, 7, anneal_iters, reps);
     let pipeline_speedup: f64 = stages.iter().map(|s| s.ref_ms).sum::<f64>()
         / stages.iter().map(|s| s.new_ms).sum::<f64>().max(1e-9);
+    entries.push(json);
+
+    // mesh-metro's median traffic graph: 100 nodes, 768 demands, k = 16.
+    let metro = generators::gnm(100, 768, &mut StdRng::seed_from_u64(10));
+    let (packer, json) = run_dense_first("dense_first_gnm_100_768_k16", &metro, 16, reps);
     entries.push(json);
 
     if !opts.fast {
@@ -287,4 +327,12 @@ fn main() {
     });
     println!("baseline written to {}", opts.out);
     println!("primary pipeline speedup: {pipeline_speedup:.2}x");
+    if opts.fast {
+        assert!(
+            packer.speedup() >= FAST_DENSE_FIRST_FLOOR,
+            "dense_first ran only {:.2}x faster than its reference (the fast tier's floor is \
+             {FAST_DENSE_FIRST_FLOOR}x)",
+            packer.speedup()
+        );
+    }
 }

@@ -350,9 +350,14 @@ pub fn warm_repair(
 /// wavelength count strictly decreases with every merge.
 ///
 /// Pair overlaps are computed once into a cached matrix (each by iterating
-/// one part's occupied nodes against a stamp, not `0..n`) and only the
-/// merged part's row/column is re-scored per round, so a round costs
-/// O(W² + Σ|occ|) instead of O(W²·n). Output is bit-identical to
+/// one part's occupied nodes against a stamp, not `0..n`), and each row
+/// caches its first best partner: the lowest-index later part that fits
+/// with the largest overlap. A merge of `b` into `a` changes only part
+/// `a`, removes part `b`, and relocates the last part into slot `b`, so
+/// only rows `a` and `b` and the rows whose cached partner was one of
+/// those slots are rescanned; every other row compares its cache against
+/// the two changed columns. A round costs O(W) plus the rescanned rows,
+/// not an O(W²) scan. Output is bit-identical to
 /// [`reference::merge_parts`].
 pub fn merge_parts(g: &Graph, k: usize, partition: &EdgePartition) -> EdgePartition {
     assert!(k > 0, "grooming factor must be positive");
@@ -381,17 +386,32 @@ pub fn merge_parts(g: &Graph, k: usize, partition: &EdgePartition) -> EdgePartit
             }
         }
 
+        let fits = |parts: &[engine::Part], a: usize, b: usize| {
+            parts[a].edges.len() + parts[b].edges.len() <= k
+        };
+        // Partner `b` with overlap `o` beats the current one under the
+        // reference's scan order: larger overlap, then lower index.
+        let beats = |o: u32, b: usize, cur: Option<(usize, u32)>| {
+            cur.is_none_or(|(c, co)| o > co || (o == co && b < c))
+        };
+        let scan = |parts: &[engine::Part], ov: &[u32], a: usize| {
+            let mut best = None;
+            for b in (a + 1)..parts.len() {
+                if fits(parts, a, b) && beats(ov[a * w0 + b], b, best) {
+                    best = Some((b, ov[a * w0 + b]));
+                }
+            }
+            best
+        };
+        let mut partner: Vec<Option<(usize, u32)>> =
+            (0..w0).map(|a| scan(&parts, &ov, a)).collect();
+
         loop {
-            // Cheap scan over cached overlaps; same lexicographic strict-max
-            // tie-break as the reference's recompute-everything scan.
+            // The lowest row holding the largest cached overlap: the
+            // reference's lexicographic strict-max pick over all pairs.
             let mut best: Option<(usize, usize, u32)> = None;
-            for a in 0..parts.len() {
-                let la = parts[a].edges.len();
-                for b in (a + 1)..parts.len() {
-                    if la + parts[b].edges.len() > k {
-                        continue;
-                    }
-                    let o = ov[a * w0 + b];
+            for (a, p) in partner.iter().enumerate() {
+                if let Some((b, o)) = *p {
                     if best.is_none_or(|(_, _, bo)| o > bo) {
                         best = Some((a, b, o));
                     }
@@ -439,6 +459,28 @@ pub fn merge_parts(g: &Graph, k: usize, partition: &EdgePartition) -> EdgePartit
                     .count() as u32;
                 ov[a * w0 + i] = o;
                 ov[i * w0 + a] = o;
+            }
+
+            // Rescan rows a and b and every row whose partner was a slot
+            // that changed; any other row's partner still stands, and only
+            // columns a and b can now beat it.
+            partner.swap_remove(b);
+            for i in 0..parts.len() {
+                let mut cur = partner[i];
+                if i == a || i == b || cur.is_some_and(|(c, _)| c == a || c == b || c == moved) {
+                    partner[i] = scan(&parts, &ov, i);
+                    continue;
+                }
+                for j in [a, b] {
+                    if i < j
+                        && j < parts.len()
+                        && fits(&parts, i, j)
+                        && beats(ov[i * w0 + j], j, cur)
+                    {
+                        cur = Some((j, ov[i * w0 + j]));
+                    }
+                }
+                partner[i] = cur;
             }
         }
     }
@@ -746,6 +788,29 @@ mod tests {
                 assert!(p.sadm_cost(&g) >= bounds::lower_bound(&g, k));
             }
         }
+    }
+
+    #[test]
+    fn dense_first_stays_linear_in_a_huge_node_space() {
+        // 2^18 nodes and four edges: a triangle and a pendant edge. An
+        // n × n residual would need 8 GiB here; the sparse one is O(n + m).
+        // At k = 3 the triangle fills its wavelength, so it survives the
+        // merge as a part of its own.
+        let mut g = Graph::new(1 << 18);
+        let node = grooming_graph::ids::NodeId;
+        for (u, v) in [(7, 70_000), (70_000, 262_143), (262_143, 7), (262_143, 9)] {
+            g.add_edge(node(u), node(v));
+        }
+        let p = dense_first(&g, 3, &mut rng(1));
+        p.validate(&g, 3).unwrap();
+        let mut parts: Vec<Vec<EdgeId>> = p.parts().to_vec();
+        for part in &mut parts {
+            part.sort_unstable();
+        }
+        assert!(
+            parts.contains(&vec![EdgeId(0), EdgeId(1), EdgeId(2)]),
+            "triangle split: {parts:?}"
+        );
     }
 
     #[test]

@@ -1,25 +1,27 @@
 //! Dense-subgraph packing heuristics on residual structures.
 //!
-//! Both packers peel dense pieces (triangles, maximal cliques) off the
+//! Both packers peel dense pieces (triangles, maximum cliques) off the
 //! traffic graph round by round. The seed versions re-derived the residual
 //! from scratch each round — re-probing `triangle_edges` per availability
-//! check, re-extracting a fresh subgraph and re-running Bron–Kerbosch on it
-//! per peel. Here the residual is maintained incrementally instead:
+//! check, re-extracting a fresh subgraph and enumerating all its maximal
+//! cliques with Bron–Kerbosch per peel. Here the residual is maintained
+//! incrementally instead:
 //!
 //! * [`clique_first`] resolves each triangle's edge triple once, keeps an
 //!   edge → triangles index so consuming an edge kills its triangles in
 //!   O(1), and stamps part nodes in a shared scratch instead of allocating
 //!   `vec![false; n]` per part.
-//! * [`dense_first`] keeps a [`DenseAdjacency`] bitset residual, deleting
-//!   clique edges in place between peels; the clique search reads only the
-//!   bitsets, so its answers match the seed's per-round re-extraction bit
-//!   for bit.
+//! * [`dense_first`] keeps a [`CliqueResidual`] (sorted higher-neighbour
+//!   lists, O(n + m)), deleting clique edges in place between peels, and
+//!   finds each peel's clique by exact branch and bound: the same clique
+//!   (the lexicographically greatest maximum one) the seed's enumeration
+//!   keeps, bounded above by the previous peel's size.
 //!
 //! Leftover grooming, merging, and refinement are shared with the parent
 //! module; outputs are bit-identical to `reference::clique_first` /
 //! `reference::dense_first` (golden-tested).
 
-use grooming_graph::cliques::{max_clique_size_for_k, DenseAdjacency};
+use grooming_graph::cliques::{max_clique_size_for_k, CliqueResidual};
 use grooming_graph::graph::Graph;
 use grooming_graph::ids::{EdgeId, NodeId};
 use grooming_graph::spanning::TreeStrategy;
@@ -169,15 +171,18 @@ pub fn dense_first<R: Rng>(g: &Graph, k: usize, rng: &mut R) -> EdgePartition {
 
     // Iteratively peel the largest clique of the *residual* graph: a
     // single huge clique (e.g. K_n itself) yields one capped sub-clique
-    // per round, each a maximally dense wavelength. The residual lives in
-    // the bitset adjacency; clique edges are deleted in place each round.
-    let mut residual = DenseAdjacency::from_graph(g);
+    // per round, each a maximally dense wavelength. Clique edges are
+    // deleted from the residual in place each round, so no clique ever
+    // outgrows the previous peel's, which bounds the next search.
+    let mut residual = CliqueResidual::from_graph(g);
     let mut remaining = g.num_edges();
+    let mut limit = usize::MAX;
     while remaining >= 3 {
-        let best = residual.maximum_clique();
+        let best = residual.maximum_clique(limit);
         if best.len() < 3 {
             break;
         }
+        limit = best.len();
         // Take up to `cap` nodes of the clique; all pairwise edges exist
         // in the residual graph by definition of a clique (and `g` is
         // simple here, so each pair names a unique parent edge).

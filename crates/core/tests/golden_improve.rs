@@ -12,10 +12,12 @@ use grooming::improve::{self, reference};
 use grooming::partition::EdgePartition;
 use grooming::spant_euler::spant_euler;
 use grooming_graph::generators;
+use grooming_graph::ids::EdgeId;
 use grooming_graph::spanning::TreeStrategy;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::seq::SliceRandom;
+use rand::{Rng, RngCore, SeedableRng};
 
 fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
@@ -90,6 +92,32 @@ fn merge_parts_matches_reference_bit_for_bit() {
             let fast = improve::merge_parts(&g, k, &singles);
             let slow = reference::merge_parts(&g, k, &singles);
             assert_eq!(fast.parts(), slow.parts(), "singleton merge diverged");
+        }
+    }
+    // ... and from random partitions into small parts (1–3 edges): many
+    // rows share a best partner, so cached partners go stale often, and
+    // parts near k make columns flip between fitting and not.
+    for seed in 0..3u64 {
+        let g = generators::gnm(40, 160, &mut rng(seed));
+        for k in [3usize, 4, 7, 16] {
+            let mut r = rng(seed ^ (k as u64) << 8);
+            let mut edges: Vec<EdgeId> = g.edges().collect();
+            edges.shuffle(&mut r);
+            let mut parts = Vec::new();
+            let mut rest = &edges[..];
+            while !rest.is_empty() {
+                let take = r.gen_range(1..=3usize.min(k)).min(rest.len());
+                parts.push(rest[..take].to_vec());
+                rest = &rest[take..];
+            }
+            let random = EdgePartition::new(parts);
+            let fast = improve::merge_parts(&g, k, &random);
+            let slow = reference::merge_parts(&g, k, &random);
+            assert_eq!(
+                fast.parts(),
+                slow.parts(),
+                "random-partition merge diverged on seed={seed} k={k}"
+            );
         }
     }
 }
@@ -174,6 +202,25 @@ fn dense_first_matches_reference_and_rng_stream() {
             assert_eq!(fast.parts(), slow.parts());
             assert_eq!(r_fast.next_u64(), r_slow.next_u64());
         }
+    }
+    // mesh-metro's traffic graphs (100 nodes, up to 1152 demands at
+    // k = 16) and a hub-heavy Chung–Lu graph: long peeling runs in which
+    // each search's bound is carried over from the peel before.
+    let shapes = [
+        ("gnm(100, 768)", generators::gnm(100, 768, &mut rng(12))),
+        ("gnm(100, 1152)", generators::gnm(100, 1152, &mut rng(12))),
+        (
+            "power_law(240)",
+            generators::power_law(240, 2.5, 6.0, &mut rng(13)),
+        ),
+    ];
+    for (name, g) in &shapes {
+        let mut r_fast = rng(44);
+        let mut r_slow = rng(44);
+        let fast = improve::dense_first(g, 16, &mut r_fast);
+        let slow = reference::dense_first(g, 16, &mut r_slow);
+        assert_eq!(fast.parts(), slow.parts(), "dense_first diverged on {name}");
+        assert_eq!(r_fast.next_u64(), r_slow.next_u64());
     }
 }
 

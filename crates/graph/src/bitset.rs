@@ -1,8 +1,9 @@
 //! Word-packed `u64` bitset primitives.
 //!
 //! The grooming pipeline manipulates dense sets over `0..n` ids constantly:
-//! edge-subset membership ([`crate::view::EdgeSubset`]), residual adjacency
-//! rows ([`crate::cliques::DenseAdjacency`]), touched-node bitmaps. All of
+//! edge-subset membership ([`crate::view::EdgeSubset`]), clique-enumeration
+//! adjacency rows ([`crate::cliques::maximal_cliques`]), touched-node
+//! bitmaps. All of
 //! them share the same layout — `⌈n/64⌉` machine words, bit `i` in word
 //! `i / 64` — so the bit twiddling lives here once. Free functions over
 //! `&[u64]` keep the storage inline in the owning structs (no indirection,

@@ -1,89 +1,181 @@
-//! Clique enumeration (Bron–Kerbosch with pivoting).
+//! Clique enumeration and search.
 //!
 //! The ICPP'06 paper closes by proposing to partition traffic graphs "into
 //! sub-graphs which are cliques or close to cliques": a `q`-clique packs
 //! `C(q,2)` edges onto `q` SADMs, the densest possible wavelength. This
 //! module provides the clique machinery behind that heuristic: maximal
-//! clique enumeration, maximum clique, and the largest clique usable under
-//! a grooming factor (`C(q,2) ≤ k`).
+//! clique enumeration (Bron–Kerbosch with pivoting), maximum clique, the
+//! sparse residual the iterated peeling searches by branch and bound, and
+//! the largest clique usable under a grooming factor (`C(q,2) ≤ k`).
 
 use crate::bitset;
 use crate::graph::Graph;
 use crate::ids::NodeId;
 
-/// Dense bitset adjacency over a fixed node set, supporting edge removal.
+/// Sparse residual for iterated clique peeling (the `dense_first` grooming
+/// heuristic): build it once from the traffic graph, delete the edges of
+/// each extracted clique in place, and search the updated residual again.
 ///
-/// This is the *residual* structure behind iterated clique peeling (the
-/// `dense_first` grooming heuristic): build it once from the traffic graph,
-/// delete the edges of each extracted clique, and re-run the clique search
-/// on the updated bitsets — no per-round subgraph extraction, no re-walking
-/// the edge list. The clique enumeration depends only on the adjacency
-/// bitsets, so the results are bit-identical to extracting a fresh subgraph
-/// of the surviving edges each round.
+/// Each node keeps the ascending list of its *higher* residual neighbours,
+/// all in one flat array, so the structure is O(n + m) however many nodes
+/// the graph names. [`maximum_clique`](Self::maximum_clique) returns the
+/// same clique as the free [`maximum_clique`] on the surviving edges.
 #[derive(Clone, Debug)]
-pub struct DenseAdjacency {
-    n: usize,
-    words: usize,
-    adj: Vec<Vec<u64>>,
+pub struct CliqueResidual {
+    /// Node `u`'s higher neighbours are `up[start[u]..start[u] + len[u]]`.
+    start: Vec<u32>,
+    len: Vec<u32>,
+    up: Vec<u32>,
 }
 
-impl DenseAdjacency {
-    /// Builds the adjacency bitsets of a simple graph (64-node words).
+impl CliqueResidual {
+    /// Builds the residual of a simple graph.
     ///
     /// # Panics
     /// Panics if `g` has parallel edges.
     pub fn from_graph(g: &Graph) -> Self {
-        assert!(g.is_simple(), "clique enumeration requires a simple graph");
+        assert!(g.is_simple(), "clique search requires a simple graph");
         let n = g.num_nodes();
-        let words = bitset::words_for(n).max(1);
-        let mut adj = vec![vec![0u64; words]; n];
+        let mut len = vec![0u32; n];
         for e in g.edges() {
             let (u, v) = g.endpoints(e);
-            bitset::set(&mut adj[u.index()], v.index());
-            bitset::set(&mut adj[v.index()], u.index());
+            len[u.index().min(v.index())] += 1;
         }
-        DenseAdjacency { n, words, adj }
+        let mut start = Vec::with_capacity(n);
+        let mut total = 0u32;
+        for &l in &len {
+            start.push(total);
+            total += l;
+        }
+        let mut fill = start.clone();
+        let mut up = vec![0u32; total as usize];
+        for e in g.edges() {
+            let (u, v) = g.endpoints(e);
+            let (lo, hi) = (u.index().min(v.index()), u.index().max(v.index()));
+            up[fill[lo] as usize] = hi as u32;
+            fill[lo] += 1;
+        }
+        for u in 0..n {
+            let s = start[u] as usize;
+            up[s..s + len[u] as usize].sort_unstable();
+        }
+        CliqueResidual { start, len, up }
     }
 
-    /// Removes the edge `{u, v}` from the residual (no-op if absent).
+    fn higher(&self, u: usize) -> &[u32] {
+        let s = self.start[u] as usize;
+        &self.up[s..s + self.len[u] as usize]
+    }
+
+    /// Removes the edge `{u, v}` from the residual.
+    ///
+    /// # Panics
+    /// Panics if the residual does not hold `{u, v}`.
     pub fn remove_edge(&mut self, u: NodeId, v: NodeId) {
-        bitset::clear(&mut self.adj[u.index()], v.index());
-        bitset::clear(&mut self.adj[v.index()], u.index());
+        let (lo, hi) = (u.index().min(v.index()), u.index().max(v.index()));
+        let i = self
+            .higher(lo)
+            .binary_search(&(hi as u32))
+            .expect("the edge is in the residual");
+        let s = self.start[lo] as usize;
+        let end = s + self.len[lo] as usize;
+        self.up.copy_within(s + i + 1..end, s + i);
+        self.len[lo] -= 1;
     }
 
-    /// `true` if the residual still contains the edge `{u, v}`.
-    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        bitset::test(&self.adj[u.index()], v.index())
-    }
-
-    /// All maximal cliques of the residual, each as an ascending node
-    /// list; the full list is sorted. See [`maximal_cliques`].
-    pub fn maximal_cliques(&self) -> Vec<Vec<NodeId>> {
-        let mut ctx = Ctx {
-            adj: &self.adj,
-            n: self.n,
-            words: self.words,
-            out: Vec::new(),
+    /// A maximum clique of the residual as an ascending node list: among
+    /// all maximum cliques, the lexicographically greatest — the one the
+    /// free [`maximum_clique`] returns. Empty residual → empty clique.
+    ///
+    /// `limit` must be at least the residual's clique number; the search
+    /// stops as soon as it holds a clique that large. Deleting edges never
+    /// grows a clique, so a peeling loop passes the previous answer's size
+    /// (`usize::MAX` on the first call).
+    ///
+    /// Exact branch and bound: every depth tries node ids in descending
+    /// order, so cliques of one size are met in descending lexicographic
+    /// order, and a clique is kept only if strictly larger than the best so
+    /// far. The first clique of the final size is therefore the
+    /// lexicographically greatest, and a branch is cut only when its
+    /// candidates cannot beat the best so far.
+    pub fn maximum_clique(&self, limit: usize) -> Vec<NodeId> {
+        let mut search = Search {
+            res: self,
+            clique: Vec::new(),
+            best: Vec::new(),
+            cand: Vec::new(),
+            limit,
         };
-        let mut p = vec![0u64; self.words];
-        for i in 0..self.n {
-            bitset::set(&mut p, i);
+        for v in (0..self.len.len()).rev() {
+            let room = 1 + self.len[v] as usize;
+            if room <= search.best.len() {
+                continue;
+            }
+            search.cand.extend_from_slice(self.higher(v));
+            if search.visit(v as u32, 0) {
+                break;
+            }
         }
-        expand(&mut ctx, &mut Vec::new(), p, vec![0u64; self.words]);
-        for c in &mut ctx.out {
-            c.sort_unstable();
-        }
-        ctx.out.sort();
-        ctx.out
+        search.best.into_iter().map(NodeId).collect()
     }
+}
 
-    /// A maximum clique of the residual (ties broken as in
-    /// [`maximum_clique`]). Empty residual → empty clique.
-    pub fn maximum_clique(&self) -> Vec<NodeId> {
-        self.maximal_cliques()
-            .into_iter()
-            .max_by_key(|c| c.len())
-            .unwrap_or_default()
+/// Branch-and-bound state of one [`CliqueResidual::maximum_clique`] call.
+/// `cand` is a stack of ascending candidate lists, one per depth.
+struct Search<'a> {
+    res: &'a CliqueResidual,
+    clique: Vec<u32>,
+    best: Vec<u32>,
+    cand: Vec<u32>,
+    limit: usize,
+}
+
+impl Search<'_> {
+    /// Adds `v` to the clique; its candidates are `cand[lo..]` (the common
+    /// higher neighbours of the clique and `v`). Returns `true` once the
+    /// best clique reaches `limit`. Pops `v` and its candidates on return.
+    fn visit(&mut self, v: u32, lo: usize) -> bool {
+        self.clique.push(v);
+        if self.clique.len() > self.best.len() {
+            self.best.clone_from(&self.clique);
+            if self.best.len() >= self.limit {
+                return true;
+            }
+        }
+        let res = self.res;
+        let hi = self.cand.len();
+        for i in (lo..hi).rev() {
+            let w = self.cand[i];
+            let ups = res.higher(w as usize);
+            if self.clique.len() + 1 + (hi - i - 1).min(ups.len()) <= self.best.len() {
+                continue;
+            }
+            // Candidates after `w`: the later entries of this depth's
+            // list that are also higher neighbours of `w`.
+            let (mut a, mut b) = (i + 1, 0);
+            while a < hi && b < ups.len() {
+                let (x, y) = (self.cand[a], ups[b]);
+                if x <= y {
+                    a += 1;
+                }
+                if y <= x {
+                    b += 1;
+                }
+                if x == y {
+                    self.cand.push(x);
+                }
+            }
+            if self.clique.len() + 1 + (self.cand.len() - hi) <= self.best.len() {
+                self.cand.truncate(hi);
+                continue;
+            }
+            if self.visit(w, hi) {
+                return true;
+            }
+        }
+        self.cand.truncate(lo);
+        self.clique.pop();
+        false
     }
 }
 
@@ -135,10 +227,13 @@ fn expand(ctx: &mut Ctx, r: &mut Vec<NodeId>, p: Vec<u64>, mut x: Vec<u64>) {
     }
 }
 
-/// All maximal cliques of a simple graph, each as an ascending node list.
+/// All maximal cliques of a simple graph, each as an ascending node list;
+/// the full list is sorted.
 ///
-/// Bron–Kerbosch with greedy pivoting; exponential in the worst case but
-/// fast on the sparse-to-moderate instances ring planning produces.
+/// Bron–Kerbosch with greedy pivoting over `n × n` adjacency bitsets;
+/// exponential in the worst case but fast on the sparse-to-moderate
+/// instances ring planning produces. The grooming heuristics search a
+/// [`CliqueResidual`] instead; this enumeration is their test oracle.
 ///
 /// ```
 /// use grooming_graph::cliques::maximal_cliques;
@@ -154,11 +249,37 @@ fn expand(ctx: &mut Ctx, r: &mut Vec<NodeId>, p: Vec<u64>, mut x: Vec<u64>) {
 /// # Panics
 /// Panics if `g` has parallel edges.
 pub fn maximal_cliques(g: &Graph) -> Vec<Vec<NodeId>> {
-    DenseAdjacency::from_graph(g).maximal_cliques()
+    assert!(g.is_simple(), "clique enumeration requires a simple graph");
+    let n = g.num_nodes();
+    let words = bitset::words_for(n).max(1);
+    let mut adj = vec![vec![0u64; words]; n];
+    for e in g.edges() {
+        let (u, v) = g.endpoints(e);
+        bitset::set(&mut adj[u.index()], v.index());
+        bitset::set(&mut adj[v.index()], u.index());
+    }
+    let mut ctx = Ctx {
+        adj: &adj,
+        n,
+        words,
+        out: Vec::new(),
+    };
+    let mut p = vec![0u64; words];
+    for i in 0..n {
+        bitset::set(&mut p, i);
+    }
+    expand(&mut ctx, &mut Vec::new(), p, vec![0u64; words]);
+    for c in &mut ctx.out {
+        c.sort_unstable();
+    }
+    ctx.out.sort();
+    ctx.out
 }
 
-/// A maximum clique (largest cardinality; ties broken lexicographically by
-/// the enumeration order). Empty graph → empty clique.
+/// A maximum clique (largest cardinality) as an ascending node list: among
+/// all maximum cliques, the lexicographically greatest — the last of
+/// [`maximal_cliques`]' sorted list with the largest size. Empty graph →
+/// empty clique.
 pub fn maximum_clique(g: &Graph) -> Vec<NodeId> {
     maximal_cliques(g)
         .into_iter()

@@ -3,7 +3,7 @@
 //! connectivity algorithms against brute force on tiny instances.
 
 use grooming_graph::bipartite::{bipartition, hopcroft_karp};
-use grooming_graph::cliques::{is_clique, maximal_cliques, maximum_clique};
+use grooming_graph::cliques::{is_clique, maximal_cliques, maximum_clique, CliqueResidual};
 use grooming_graph::connectivity::{bridges, edge_connectivity};
 use grooming_graph::generators;
 use grooming_graph::graph::Graph;
@@ -21,6 +21,17 @@ fn arb_gnm(max_n: usize) -> impl Strategy<Value = Graph> {
         let m = ((max_m as f64) * frac).round() as usize;
         generators::gnm(n, m.min(max_m), &mut StdRng::seed_from_u64(seed))
     })
+}
+
+/// The lexicographically greatest maximum clique, read straight off the
+/// Bron–Kerbosch enumeration.
+fn oracle_maximum_clique(g: &Graph) -> Vec<NodeId> {
+    let cs = maximal_cliques(g);
+    let size = cs.iter().map(Vec::len).max().unwrap_or(0);
+    cs.into_iter()
+        .filter(|c| c.len() == size)
+        .max()
+        .unwrap_or_default()
 }
 
 /// Brute-force edge connectivity: delete every edge subset of size up to
@@ -178,6 +189,58 @@ proptest! {
                 disconnects,
                 "edge {:?} bridge classification", e
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A peeling run over the residual: each step's branch-and-bound
+    /// answer must be the oracle's clique on the surviving edges; the step
+    /// then deletes the edges among the clique's first `cap` nodes and
+    /// passes the found size on as the next search's bound.
+    #[test]
+    fn residual_search_peels_the_lex_greatest_maximum_clique(
+        n in 0usize..=14,
+        shape in 0u8..4,
+        frac in 0.0f64..=1.0,
+        isolated in 0usize..=3,
+        cap in 2usize..=5,
+        seed in any::<u64>(),
+    ) {
+        // Shapes: random G(n, m), K_n, and the edgeless graph; `isolated`
+        // extra nodes never touch an edge (n = 0 with none is empty).
+        let max_m = n * n.saturating_sub(1) / 2;
+        let m = match shape {
+            0 | 1 => ((max_m as f64) * frac).round() as usize,
+            2 => max_m,
+            _ => 0,
+        };
+        let base = generators::gnm(n, m.min(max_m), &mut StdRng::seed_from_u64(seed));
+        let mut g = Graph::new(n + isolated);
+        for e in base.edges() {
+            let (u, v) = base.endpoints(e);
+            g.add_edge(u, v);
+        }
+        let mut residual = CliqueResidual::from_graph(&g);
+        let mut alive = vec![true; g.num_edges()];
+        let mut limit = usize::MAX;
+        loop {
+            let live: Vec<EdgeId> = g.edges().filter(|e| alive[e.index()]).collect();
+            let found = residual.maximum_clique(limit);
+            prop_assert_eq!(&found, &oracle_maximum_clique(&extract(&g, &live).graph));
+            if found.len() < 2 {
+                break;
+            }
+            limit = found.len();
+            let chosen = &found[..cap.min(found.len())];
+            for (i, &u) in chosen.iter().enumerate() {
+                for &v in &chosen[i + 1..] {
+                    alive[g.find_edge(u, v).unwrap().index()] = false;
+                    residual.remove_edge(u, v);
+                }
+            }
         }
     }
 }

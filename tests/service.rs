@@ -385,3 +385,51 @@ fn saturation_sheds_deadline_unmeetable_work_deterministically() {
     assert_eq!(stats.counters.shed_requests, 1);
     assert_eq!(stats.counters.completed_items, 4);
 }
+
+/// The process's peak resident set (`VmHWM`) in MiB.
+fn peak_rss_mib() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
+        .map_or(0.0, |kb| kb / 1024.0)
+}
+
+#[test]
+fn a_huge_sparse_ring_item_is_solved_in_linear_memory() {
+    // 200,000 nodes and four demands (a triangle and a pendant edge) pass
+    // admission. The default portfolio runs DenseFirst on it, whose
+    // residual must stay O(n + m): an n × n bitset would need ~5 GB here.
+    use grooming::solve::Plan;
+    let n = 200_000;
+    let demands = DemandSet::from_pairs(
+        n,
+        &[
+            (3, 150_000),
+            (150_000, 199_999),
+            (199_999, 3),
+            (199_999, 42),
+        ],
+    );
+    let k = 4;
+    let service = Service::start(config(1));
+    let mut client = Client::new(&service);
+    let response = client
+        .solve_batch(vec![Instance::ring(demands.clone(), k)], Default::default())
+        .unwrap();
+    service.shutdown();
+    let ItemOutcome::Solved { plan, .. } = &response.items[0] else {
+        panic!("expected a solved item, got {:?}", response.items[0]);
+    };
+    let Plan::Ring { outcome } = plan else {
+        panic!("expected a ring plan, got {plan:?}");
+    };
+    outcome
+        .partition
+        .validate(&demands.to_traffic_graph(), k)
+        .unwrap();
+    let peak = peak_rss_mib();
+    eprintln!("peak RSS with a 200,000-node ring item: {peak:.1} MiB");
+    assert!(peak < 1024.0, "peak RSS {peak:.1} MiB");
+}
