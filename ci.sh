@@ -10,6 +10,19 @@ cargo fmt --all --check
 echo "== cargo clippy (all targets, warnings are errors) =="
 cargo clippy --all-targets -- -D warnings
 
+echo "== guard: production crates do not link the test oracles =="
+# grooming-oracle holds the frozen seed implementations and cross-checkers
+# that tests and perf bins compare the live code against. It is a
+# dev-dependency of the graph and core test suites and a dependency of the
+# bench crate only: no crate that groomd, groomsim or upsr-groom links may
+# pull it in as a normal dependency.
+for pkg in grooming-graph grooming-sonet grooming grooming-service grooming-sim grooming-cli; do
+  if cargo tree --offline -e normal -p "$pkg" | grep -q grooming-oracle; then
+    echo "error: $pkg depends on grooming-oracle outside its tests"
+    exit 1
+  fi
+done
+
 echo "== guards: entry points called outside their owners =="
 # guard REGEX MESSAGE FILE...: fails if any FILE calls REGEX outside its
 # tests. Each file is scanned up to its first #[cfg(test)] marker (test
@@ -91,7 +104,7 @@ target/release/perf_improve --fast --out /tmp/BENCH_improve_fast.json
 
 echo "== perf smoke: construction-pipeline baseline (release, --fast) =="
 # Same contract for the construction pipeline: the flat-CSR/workspace path
-# must reproduce grooming::reference bit for bit on a thinned Figure-4/5
+# must reproduce grooming_oracle::reference bit for bit on a thinned Figure-4/5
 # grid. The checked-in results/BENCH_pipeline.json is produced by the full
 # run: target/release/perf_pipeline
 target/release/perf_pipeline --fast --out /tmp/BENCH_pipeline_fast.json
@@ -134,10 +147,10 @@ echo "== perf smoke: mesh loading baseline (release, --fast) =="
 # its own) and asserting the two plans are byte-identical and the warm
 # curve at least 1.2x faster in aggregate (the fast tier measured
 # 2.47-2.57x). Also measures mesh solve throughput through the service
-# with the cache off, asserts byte-identical transcripts at 1 vs 4
-# workers, and asserts peak RSS stays under the fast tier's ceiling (the
-# binary exits non-zero on any breach). The checked-in
-# results/BENCH_mesh.json is produced by the full run:
+# with the cache off (the median of five timed phases), asserts
+# byte-identical transcripts at 1 vs 4 workers, and asserts peak RSS stays
+# under the fast tier's ceiling (the binary exits non-zero on any breach).
+# The checked-in results/BENCH_mesh.json is produced by the full run:
 # target/release/perf_mesh
 target/release/perf_mesh --fast --out /tmp/BENCH_mesh_fast.json
 

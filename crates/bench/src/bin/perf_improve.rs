@@ -4,7 +4,7 @@
 //! Runs the pipeline `SpanT_Euler base → refine → merge_parts → anneal` on
 //! fixed large instances twice per stage — once with the incremental engine
 //! (`grooming::improve`) and once with the preserved seed implementations
-//! (`grooming::improve::reference`) — asserts the outputs are
+//! (`grooming_oracle::improve`) — asserts the outputs are
 //! **bit-identical**, and writes per-stage wall clock + cost + speedup to a
 //! JSON baseline (`results/BENCH_improve.json` by default). A `dense_first`
 //! cell does the same for the whole DenseFirst packer (clique peeling,
@@ -17,13 +17,14 @@
 
 use std::fmt::Write as _;
 
-use grooming::improve::{self, reference};
+use grooming::improve;
 use grooming::partition::EdgePartition;
 use grooming::spant_euler::spant_euler;
 use grooming_bench::time_best;
 use grooming_graph::generators;
 use grooming_graph::graph::Graph;
 use grooming_graph::spanning::TreeStrategy;
+use grooming_oracle::improve as reference;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 

@@ -16,7 +16,8 @@
 //!
 //! On top of the loading curve the run measures sustained mesh solve
 //! throughput through the service (cache disabled, so every item pays for
-//! routing + grooming + capacity repair), and asserts the determinism
+//! routing + grooming + capacity repair) as the median of
+//! [`THROUGHPUT_REPEATS`] timed phases, and asserts the determinism
 //! contract end to end: the same batch of mesh items produces
 //! byte-identical response transcripts on a 1-worker and a 4-worker
 //! service.
@@ -48,6 +49,11 @@ const BLOCKING_TARGET: f64 = 0.01;
 /// does not. The full tier's curve repeats far fewer pairs (1.5×
 /// measured), so it records its ratio without a floor.
 const FAST_COLD_OVER_WARM_FLOOR: f64 = 1.2;
+
+/// How many times the throughput phase runs, each on a fresh service. One
+/// ~0.4 s phase on a shared 2-vCPU host read either 55–60 or 100–135
+/// solves/s, so the run records the median with the lowest and highest.
+const THROUGHPUT_REPEATS: usize = 5;
 
 /// Peak-RSS ceilings per tier. Mesh state is linear in topology + demands;
 /// these match the other perf baselines' footprints.
@@ -312,23 +318,31 @@ fn main() {
     config.workers = 4;
     config.cache_capacity = 0;
     config.master_seed = 42;
-    let service = Service::start(config);
-    let mut client = Client::new(&service);
     let batches = 3usize;
-    let t = Instant::now();
-    for salt in 0..batches as u64 {
-        let response = client
-            .solve_batch(mesh_batch(salt), RequestOptions::default())
-            .expect("admission accepts the throughput batches");
-        assert_eq!(response.items.len(), batch_items);
-    }
-    let elapsed_s = t.elapsed().as_secs_f64();
-    service.shutdown();
     let solved = (batches * batch_items) as f64;
-    let solves_per_sec = solved / elapsed_s.max(1e-9);
+    let mut rates: Vec<f64> = (0..THROUGHPUT_REPEATS)
+        .map(|_| {
+            let service = Service::start(config.clone());
+            let mut client = Client::new(&service);
+            let t = Instant::now();
+            for salt in 0..batches as u64 {
+                let response = client
+                    .solve_batch(mesh_batch(salt), RequestOptions::default())
+                    .expect("admission accepts the throughput batches");
+                assert_eq!(response.items.len(), batch_items);
+            }
+            let elapsed_s = t.elapsed().as_secs_f64();
+            service.shutdown();
+            solved / elapsed_s.max(1e-9)
+        })
+        .collect();
+    rates.sort_by(f64::total_cmp);
+    let solves_per_sec = rates[THROUGHPUT_REPEATS / 2];
+    let (solves_per_sec_min, solves_per_sec_max) = (rates[0], rates[THROUGHPUT_REPEATS - 1]);
     println!(
-        "  throughput: {solved:.0} mesh solves in {:.1} ms -> {solves_per_sec:.1} solves/sec",
-        elapsed_s * 1e3
+        "  throughput: {solved:.0} mesh solves per phase, {THROUGHPUT_REPEATS} phases -> \
+         median {solves_per_sec:.1} solves/sec (min {solves_per_sec_min:.1}, max \
+         {solves_per_sec_max:.1})"
     );
 
     // Determinism: the same batch must produce byte-identical transcripts
@@ -393,6 +407,8 @@ fn main() {
          \"cold_over_warm\": {cold_over_warm:.2},\n  \
          \"cold_over_warm_floor\": {},\n  \
          \"solves_per_sec\": {solves_per_sec:.1},\n  \
+         \"solves_per_sec_min\": {solves_per_sec_min:.1},\n  \
+         \"solves_per_sec_max\": {solves_per_sec_max:.1},\n  \
          \"transcript_invariant\": true,\n  \
          \"peak_rss_mb\": {peak_mb:.1},\n  \"rss_ceiling_mb\": {ceiling:.0}\n}}\n",
         tier.cold_over_warm_floor()

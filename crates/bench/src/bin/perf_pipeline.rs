@@ -4,9 +4,9 @@
 //! full `k` ladder, 20 seeds per cell) through every construction algorithm
 //! twice — once on the live path (CSR adjacency, bitset subsets, reusable
 //! workspaces) and once on the frozen seed implementations in
-//! [`grooming::reference`] — asserts the partitions are **bit-identical**
-//! cell by cell, and writes per-stage wall clock + speedup to a JSON
-//! baseline (`results/BENCH_pipeline.json` by default). `Regular_Euler`
+//! [`grooming_oracle::reference`] — asserts the partitions are
+//! **bit-identical** cell by cell, and writes per-stage wall clock +
+//! speedup to a JSON baseline (`results/BENCH_pipeline.json` by default). `Regular_Euler`
 //! additionally sweeps the Figure-5 regular grid (`r ∈ {7, 8, 15, 16}`).
 //!
 //! `ci.sh` runs the `--fast` variant (reduced grid, identity checks only)
@@ -18,10 +18,11 @@
 use std::fmt::Write as _;
 
 use grooming::partition::EdgePartition;
-use grooming::{baselines, reference, regular_euler, spant_euler};
+use grooming::{baselines, regular_euler, spant_euler};
 use grooming_bench::{time_best, workload::Workload};
 use grooming_graph::graph::Graph;
 use grooming_graph::spanning::TreeStrategy;
+use grooming_oracle::reference;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

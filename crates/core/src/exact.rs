@@ -26,28 +26,11 @@ pub fn exact_minimum(g: &Graph, k: usize) -> usize {
     exact_minimum_partition(g, k).1
 }
 
-/// Computes the exact minimum SADM cost subject to a wavelength budget
-/// `W ≤ max_parts` — the exact counterpart of [`crate::budget`]. Returns
-/// `None` if `max_parts < ⌈m/k⌉` (no feasible partition exists).
-///
-/// # Panics
-/// See [`exact_minimum`].
-pub fn exact_minimum_with_budget(g: &Graph, k: usize, max_parts: usize) -> Option<usize> {
-    if max_parts < EdgePartition::min_wavelengths(g.num_edges(), k) {
-        return None;
-    }
-    Some(exact_search(g, k, Some(max_parts)).1)
-}
-
 /// Computes an optimal partition and its cost.
 ///
 /// # Panics
 /// See [`exact_minimum`].
 pub fn exact_minimum_partition(g: &Graph, k: usize) -> (EdgePartition, usize) {
-    exact_search(g, k, None)
-}
-
-fn exact_search(g: &Graph, k: usize, max_parts: Option<usize>) -> (EdgePartition, usize) {
     assert!(k > 0, "grooming factor must be positive");
     assert!(
         g.num_edges() <= MAX_EDGES,
@@ -64,22 +47,8 @@ fn exact_search(g: &Graph, k: usize, max_parts: Option<usize>) -> (EdgePartition
     }
 
     // Warm start: a cheap greedy upper bound (edges in order, first part
-    // that minimizes added nodes); fall back to sequential k-chunking when
-    // the greedy breaks a wavelength budget.
-    let greedy = greedy_partition(g, k);
-    let warm = match max_parts {
-        Some(cap) if greedy.num_wavelengths() > cap => {
-            let chunks: Vec<Vec<EdgeId>> = g
-                .edges()
-                .collect::<Vec<_>>()
-                .chunks(k)
-                .map(|c| c.to_vec())
-                .collect();
-            EdgePartition::new(chunks)
-        }
-        _ => greedy,
-    };
-    debug_assert!(max_parts.is_none_or(|cap| warm.num_wavelengths() <= cap));
+    // that minimizes added nodes).
+    let warm = greedy_partition(g, k);
     let mut best_cost = warm.sadm_cost(g);
     let mut best_parts: Vec<Vec<EdgeId>> = warm.parts().to_vec();
 
@@ -96,7 +65,6 @@ fn exact_search(g: &Graph, k: usize, max_parts: Option<usize>) -> (EdgePartition
         masks: &'a [u64],
         k: usize,
         m: usize,
-        max_parts: Option<usize>,
         parts: Vec<(Vec<EdgeId>, u64)>,
         cost: usize,
         best_cost: usize,
@@ -164,14 +132,12 @@ fn exact_search(g: &Graph, k: usize, max_parts: Option<usize>) -> (EdgePartition
                 self.parts[i].1 = old_mask;
                 self.parts[i].0.pop();
             }
-            // Open one canonical new part (when the budget allows).
-            if self.max_parts.is_none_or(|cap| self.parts.len() < cap) {
-                self.parts.push((vec![EdgeId::new(e)], emask));
-                self.cost += 2;
-                self.search(e + 1);
-                self.cost -= 2;
-                self.parts.pop();
-            }
+            // Open one canonical new part.
+            self.parts.push((vec![EdgeId::new(e)], emask));
+            self.cost += 2;
+            self.search(e + 1);
+            self.cost -= 2;
+            self.parts.pop();
         }
     }
 
@@ -180,7 +146,6 @@ fn exact_search(g: &Graph, k: usize, max_parts: Option<usize>) -> (EdgePartition
         masks: &masks,
         k,
         m,
-        max_parts,
         parts: Vec::new(),
         cost: 0,
         best_cost,
@@ -307,54 +272,6 @@ mod tests {
                 let h2 = baselines::brauner(&g, k).sadm_cost(&g);
                 let h3 = baselines::goldschmidt(&g, k, &mut r).sadm_cost(&g);
                 assert!(c <= h1 && c <= h2 && c <= h3, "exact must win");
-            }
-        }
-    }
-
-    #[test]
-    fn budgeted_exact_interpolates() {
-        // Two disjoint triangles: unconstrained optimum at k=4 is 6 using
-        // 2 wavelengths; forcing 2 wavelengths costs the same; the
-        // absolute minimum W = ceil(6/4) = 2 as well.
-        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
-        assert_eq!(exact_minimum(&g, 4), 6);
-        assert_eq!(exact_minimum_with_budget(&g, 4, 2), Some(6));
-        assert_eq!(exact_minimum_with_budget(&g, 4, 1), None); // < ceil(6/4)
-                                                               // k = 6 allows one wavelength: forced merging costs all 6 nodes
-                                                               // anyway here (disjoint triangles share nothing).
-        assert_eq!(exact_minimum_with_budget(&g, 6, 1), Some(6));
-    }
-
-    #[test]
-    fn budget_can_force_a_costlier_optimum() {
-        // A 5-path at k=2: min wavelengths = 3 but the SADM optimum needs
-        // exactly ceil-size parts; with 3 parts cost is 2+3+3... compute
-        // both ends and check monotonicity.
-        let g = generators::path(6); // 5 edges
-        let unconstrained = exact_minimum(&g, 2);
-        let tight = exact_minimum_with_budget(&g, 2, 3).unwrap();
-        let loose = exact_minimum_with_budget(&g, 2, 5).unwrap();
-        assert!(tight >= unconstrained);
-        assert_eq!(loose, unconstrained);
-        assert!(exact_minimum_with_budget(&g, 2, 2).is_none());
-    }
-
-    #[test]
-    fn budgeted_exact_lower_bounds_the_heuristic_budget_layer() {
-        use crate::solve::{Instance, SolveContext, Solver};
-        use grooming_graph::spanning::TreeStrategy;
-        for seed in 0..4u64 {
-            let mut ctx = SolveContext::seeded(seed);
-            let g = generators::gnm(8, 12, ctx.rng_mut());
-            for budget in [3usize, 4, 6] {
-                if budget < 12usize.div_ceil(4) {
-                    continue;
-                }
-                let opt = exact_minimum_with_budget(&g, 4, budget).unwrap();
-                let heur = crate::algorithm::Algorithm::SpanTEuler(TreeStrategy::Bfs)
-                    .solve(&Instance::budgeted(g.clone(), 4, budget), &mut ctx)
-                    .unwrap();
-                assert!(heur.plan.sadm_cost() >= opt, "seed {seed} budget {budget}");
             }
         }
     }

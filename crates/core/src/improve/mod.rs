@@ -21,14 +21,13 @@
 //! deltas, O(1) edge removal, occupied-node lists instead of per-part
 //! size-`n` count arrays, a cached overlap matrix for merging, and residual
 //! adjacency for the packers. The pre-incremental seed implementations are
-//! preserved verbatim in [`mod@reference`]; golden tests pin every function
-//! here to bit-identical outputs against them (same partitions, same RNG
-//! consumption), and the `perf_improve` bench bin tracks the speedup in
-//! `BENCH_improve.json`.
+//! preserved verbatim in the dev-only `grooming_oracle::improve`; golden
+//! tests pin every function here to bit-identical outputs against them
+//! (same partitions, same RNG consumption), and the `perf_improve` bench
+//! bin tracks the speedup in `BENCH_improve.json`.
 
 mod engine;
 mod packing;
-pub mod reference;
 
 use grooming_graph::graph::Graph;
 use grooming_graph::ids::EdgeId;
@@ -46,8 +45,8 @@ pub use packing::{clique_first, dense_first};
 ///
 /// Moves are found through a node → occupying-parts index and swaps through
 /// closed-form deltas over a flat incidence-count matrix — no trial
-/// mutations, no per-pair allocations. Output is bit-identical to
-/// [`reference::refine`].
+/// mutations, no per-pair allocations. Output is bit-identical to the
+/// seed `refine` (`grooming_oracle::improve::refine`).
 ///
 /// ```
 /// use grooming::improve::refine;
@@ -357,8 +356,8 @@ pub fn warm_repair(
 /// only rows `a` and `b` and the rows whose cached partner was one of
 /// those slots are rescanned; every other row compares its cache against
 /// the two changed columns. A round costs O(W) plus the rescanned rows,
-/// not an O(W²) scan. Output is bit-identical to
-/// [`reference::merge_parts`].
+/// not an O(W²) scan. Output is bit-identical to the seed `merge_parts`
+/// (`grooming_oracle::improve::merge_parts`).
 pub fn merge_parts(g: &Graph, k: usize, partition: &EdgePartition) -> EdgePartition {
     assert!(k > 0, "grooming factor must be positive");
     let mut parts = build_parts(g, partition.parts().to_vec());
@@ -499,7 +498,7 @@ pub fn merge_parts(g: &Graph, k: usize, partition: &EdgePartition) -> EdgePartit
 /// Swap deltas are closed-form (no trial mutations) and the incumbent
 /// snapshot reuses preallocated buffers instead of cloning every part
 /// vector on each improvement. RNG consumption and output are bit-identical
-/// to [`reference::anneal`].
+/// to the seed `anneal` (`grooming_oracle::improve::anneal`).
 pub fn anneal<R: Rng>(
     g: &Graph,
     k: usize,

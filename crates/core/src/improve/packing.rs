@@ -18,8 +18,8 @@
 //!   keeps, bounded above by the previous peel's size.
 //!
 //! Leftover grooming, merging, and refinement are shared with the parent
-//! module; outputs are bit-identical to `reference::clique_first` /
-//! `reference::dense_first` (golden-tested).
+//! module; outputs are bit-identical to the seed `clique_first` /
+//! `dense_first` in `grooming_oracle::improve` (golden-tested).
 
 use grooming_graph::cliques::{max_clique_size_for_k, CliqueResidual};
 use grooming_graph::graph::Graph;

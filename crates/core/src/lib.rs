@@ -91,7 +91,6 @@ pub mod online;
 pub mod partition;
 pub mod pipeline;
 pub mod portfolio;
-pub mod reference;
 pub mod regular_euler;
 pub mod skeleton;
 pub mod solve;

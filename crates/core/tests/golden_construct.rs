@@ -12,10 +12,11 @@
 //!    (live and reference edited "in sync") is still caught.
 
 use grooming::partition::EdgePartition;
-use grooming::{baselines, reference, regular_euler, spant_euler};
+use grooming::{baselines, regular_euler, spant_euler};
 use grooming_graph::generators;
 use grooming_graph::graph::Graph;
 use grooming_graph::spanning::TreeStrategy;
+use grooming_oracle::reference;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 

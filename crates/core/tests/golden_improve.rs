@@ -8,12 +8,13 @@
 //! (up to `n = 100`), and add property checks (cost never increases,
 //! validity, determinism) on the incremental versions alone.
 
-use grooming::improve::{self, reference};
+use grooming::improve;
 use grooming::partition::EdgePartition;
 use grooming::spant_euler::spant_euler;
 use grooming_graph::generators;
 use grooming_graph::ids::EdgeId;
 use grooming_graph::spanning::TreeStrategy;
+use grooming_oracle::improve as reference;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

@@ -373,17 +373,6 @@ pub fn star(n: usize) -> Graph {
     g
 }
 
-/// Complete bipartite graph `K_{a,b}`: left nodes `0..a`, right `a..a+b`.
-pub fn complete_bipartite(a: usize, b: usize) -> Graph {
-    let mut g = Graph::new(a + b);
-    for u in 0..a {
-        for v in 0..b {
-            g.add_edge(NodeId::new(u), NodeId::new(a + v));
-        }
-    }
-    g
-}
-
 /// The Petersen graph (10 nodes, 15 edges, 3-regular).
 pub fn petersen() -> Graph {
     let mut g = Graph::new(10);
@@ -659,18 +648,6 @@ mod tests {
             .map(|&(u, v)| (u.0.min(v.0), u.0.max(v.0)))
             .collect();
         assert_ne!(ea, eb, "two seeds should give different regular graphs");
-    }
-
-    #[test]
-    fn complete_bipartite_shape() {
-        let g = complete_bipartite(3, 4);
-        assert_eq!(g.num_nodes(), 7);
-        assert_eq!(g.num_edges(), 12);
-        assert_eq!(g.degree(NodeId(0)), 4);
-        assert_eq!(g.degree(NodeId(5)), 3);
-        assert!(crate::bipartite::bipartition(&g).is_some());
-        // K_{n,n} is n-regular.
-        assert!(complete_bipartite(4, 4).is_regular(4));
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! ...
 //! ```
 //!
-//! Used by the benchmark harness to dump instances for external inspection
-//! and by tests for round-trip checks.
+//! `upsr-groom groom FILE` reads traffic graphs as edge lists or graph6
+//! and exports plans as Graphviz DOT; groomd's wire protocol carries its
+//! demands and topologies in the versioned [`DemandList`] and topology
+//! blocks. Each `format_*` is its parser's round-trip partner in the tests.
 
 use crate::graph::Graph;
 use crate::ids::NodeId;

@@ -15,10 +15,10 @@
 //! * [`csr`] — a flat compressed-sparse-row adjacency snapshot, cached per
 //!   graph, that the traversal-heavy inner loops run on.
 //! * [`bitset`] — word-packed `u64` bitset primitives shared by edge
-//!   subsets and the dense clique adjacency.
+//!   subsets and node sets.
 //! * [`workspace`] — reusable generation-stamped scratch buffers (visited
 //!   sets, parity counters, queues) threaded through the hot paths.
-//! * [`traversal`] — BFS/DFS, connected components.
+//! * [`traversal`] — connected components.
 //! * [`spanning`] — spanning trees and forests under several strategies
 //!   (BFS, DFS, randomized Kruskal, degree-minimizing local search).
 //! * [`tree`] — rooted-forest utilities: tree paths, subtree parity sums
@@ -29,9 +29,6 @@
 //!   matching (used by `Regular_Euler` for odd degree `r`).
 //! * [`coloring`] — Misra–Gries (Δ+1) proper edge coloring, the
 //!   constructive form of Vizing's theorem behind the paper's Lemma 8.
-//! * [`connectivity`] — bridges, articulation points, and Stoer–Wagner
-//!   global minimum cut (edge connectivity λ(G), cf. Jaeger's λ ≥ 4
-//!   sufficient condition cited by the paper).
 //! * [`generators`] — the evaluation's random graph models (`G(n,m)`,
 //!   random `r`-regular via the pairing model) plus named families and
 //!   Steiner triple systems (triangle-decomposable complete graphs, used to
@@ -39,12 +36,10 @@
 //! * [`triangles`] — triangle enumeration and an exact
 //!   edge-partition-into-triangles solver (the EPT problem from the
 //!   paper's hardness proof).
-//! * [`cliques`] — Bron–Kerbosch maximal clique enumeration (the engine of
-//!   the "cliques first" grooming heuristic the paper proposes as future
-//!   work).
-//! * [`bipartite`] — bipartiteness and Hopcroft–Karp matching (fast
-//!   special case + independent oracle for the blossom implementation).
-//! * [`subgraph`] — edge-subset extraction with id mapping.
+//! * [`cliques`] — branch-and-bound maximum-clique search over a sparse
+//!   residual (the engine of the "dense first" grooming heuristic built on
+//!   the paper's closing proposal).
+//! * [`subgraph`] — leftover-edge extraction with id mapping.
 //! * [`topology`] — physical mesh topologies (weighted links, capacitated
 //!   nodes) with deterministic Yen k-shortest-path routing, the layer-0
 //!   substrate of the mesh grooming workload.
@@ -57,15 +52,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bipartite;
 pub mod bitset;
 pub mod cliques;
 pub mod coloring;
-pub mod connectivity;
 pub mod csr;
 pub mod decompose;
 pub mod euler;
-pub mod flow;
 pub mod generators;
 pub mod graph;
 pub mod ids;

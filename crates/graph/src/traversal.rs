@@ -1,47 +1,7 @@
-//! Breadth-first and depth-first traversal, connected components.
+//! Connected components.
 
 use crate::graph::Graph;
 use crate::ids::NodeId;
-
-/// Nodes reachable from `start`, in BFS order (including `start`).
-pub fn bfs_order(g: &Graph, start: NodeId) -> Vec<NodeId> {
-    let csr = g.csr();
-    let mut seen = vec![false; g.num_nodes()];
-    let mut order = Vec::new();
-    let mut queue = std::collections::VecDeque::new();
-    seen[start.index()] = true;
-    queue.push_back(start);
-    while let Some(v) = queue.pop_front() {
-        order.push(v);
-        for &(w, _) in csr.incident(v) {
-            if !seen[w.index()] {
-                seen[w.index()] = true;
-                queue.push_back(w);
-            }
-        }
-    }
-    order
-}
-
-/// Nodes reachable from `start`, in iterative-DFS preorder.
-pub fn dfs_order(g: &Graph, start: NodeId) -> Vec<NodeId> {
-    let csr = g.csr();
-    let mut seen = vec![false; g.num_nodes()];
-    let mut order = Vec::new();
-    let mut stack = vec![start];
-    seen[start.index()] = true;
-    while let Some(v) = stack.pop() {
-        order.push(v);
-        // Push in reverse so the first-listed neighbor is visited first.
-        for &(w, _) in csr.incident(v).iter().rev() {
-            if !seen[w.index()] {
-                seen[w.index()] = true;
-                stack.push(w);
-            }
-        }
-    }
-    order
-}
 
 /// Component labeling over the full node set: `labels[v]` is the dense id
 /// (`0..count`) of `v`'s connected component. Isolated nodes get their own
@@ -101,98 +61,12 @@ pub fn is_connected(g: &Graph) -> bool {
     g.num_nodes() <= 1 || connected_components(g).count == 1
 }
 
-/// BFS hop distances from `start`; unreachable nodes get `usize::MAX`.
-pub fn bfs_distances(g: &Graph, start: NodeId) -> Vec<usize> {
-    let csr = g.csr();
-    let mut dist = vec![usize::MAX; g.num_nodes()];
-    dist[start.index()] = 0;
-    let mut queue = std::collections::VecDeque::from([start]);
-    while let Some(v) = queue.pop_front() {
-        for &(w, _) in csr.incident(v) {
-            if dist[w.index()] == usize::MAX {
-                dist[w.index()] = dist[v.index()] + 1;
-                queue.push_back(w);
-            }
-        }
-    }
-    dist
-}
-
-/// Eccentricity of `v` (greatest hop distance to any node); `None` when
-/// some node is unreachable.
-pub fn eccentricity(g: &Graph, v: NodeId) -> Option<usize> {
-    let d = bfs_distances(g, v);
-    d.into_iter()
-        .try_fold(0usize, |acc, x| (x != usize::MAX).then(|| acc.max(x)))
-}
-
-/// Diameter (max eccentricity) of a connected graph; `None` when
-/// disconnected or empty.
-pub fn diameter(g: &Graph) -> Option<usize> {
-    if g.num_nodes() == 0 {
-        return None;
-    }
-    let mut best = 0usize;
-    for v in g.nodes() {
-        best = best.max(eccentricity(g, v)?);
-    }
-    Some(best)
-}
-
-/// `true` if all *edges* of `g` live in one component, i.e. the graph is
-/// connected once isolated nodes are ignored. An edgeless graph counts as
-/// edge-connected.
-pub fn is_edge_connected(g: &Graph) -> bool {
-    if g.is_empty() {
-        return true;
-    }
-    let comps = connected_components(g);
-    let mut edge_comp = usize::MAX;
-    for e in g.edges() {
-        let (u, _) = g.endpoints(e);
-        let c = comps.labels[u.index()];
-        if edge_comp == usize::MAX {
-            edge_comp = c;
-        } else if c != edge_comp {
-            return false;
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn path4() -> Graph {
         Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)])
-    }
-
-    #[test]
-    fn bfs_visits_in_level_order() {
-        let g = Graph::from_edges(5, &[(0, 1), (0, 2), (1, 3), (2, 4)]);
-        let order = bfs_order(&g, NodeId(0));
-        assert_eq!(
-            order,
-            vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3), NodeId(4)]
-        );
-    }
-
-    #[test]
-    fn dfs_goes_deep_first() {
-        let g = Graph::from_edges(5, &[(0, 1), (0, 2), (1, 3), (2, 4)]);
-        let order = dfs_order(&g, NodeId(0));
-        assert_eq!(order[0], NodeId(0));
-        assert_eq!(order[1], NodeId(1));
-        assert_eq!(order[2], NodeId(3)); // deep before sibling 2
-        assert_eq!(order.len(), 5);
-    }
-
-    #[test]
-    fn traversal_is_limited_to_component() {
-        let g = Graph::from_edges(4, &[(0, 1), (2, 3)]);
-        assert_eq!(bfs_order(&g, NodeId(0)).len(), 2);
-        assert_eq!(dfs_order(&g, NodeId(2)).len(), 2);
     }
 
     #[test]
@@ -207,52 +81,11 @@ mod tests {
     }
 
     #[test]
-    fn bfs_distances_on_cycle() {
-        let g = crate::generators::cycle(8);
-        let d = bfs_distances(&g, NodeId(0));
-        assert_eq!(d[0], 0);
-        assert_eq!(d[1], 1);
-        assert_eq!(d[4], 4);
-        assert_eq!(d[7], 1);
-    }
-
-    #[test]
-    fn distances_mark_unreachable() {
-        let g = Graph::from_edges(4, &[(0, 1)]);
-        let d = bfs_distances(&g, NodeId(0));
-        assert_eq!(d[1], 1);
-        assert_eq!(d[2], usize::MAX);
-        assert_eq!(eccentricity(&g, NodeId(0)), None);
-        assert_eq!(diameter(&g), None);
-    }
-
-    #[test]
-    fn diameters_of_named_graphs() {
-        assert_eq!(diameter(&crate::generators::cycle(8)), Some(4));
-        assert_eq!(diameter(&crate::generators::path(5)), Some(4));
-        assert_eq!(diameter(&crate::generators::complete(6)), Some(1));
-        assert_eq!(diameter(&crate::generators::petersen()), Some(2));
-        assert_eq!(diameter(&Graph::new(0)), None);
-        assert_eq!(diameter(&Graph::new(1)), Some(0));
-    }
-
-    #[test]
-    fn eccentricity_of_star_hub_vs_leaf() {
-        let g = crate::generators::star(6);
-        assert_eq!(eccentricity(&g, NodeId(0)), Some(1));
-        assert_eq!(eccentricity(&g, NodeId(3)), Some(2));
-    }
-
-    #[test]
     fn connectivity_predicates() {
         assert!(is_connected(&path4()));
         assert!(is_connected(&Graph::new(1)));
         assert!(is_connected(&Graph::new(0)));
         let g = Graph::from_edges(3, &[(0, 1)]);
         assert!(!is_connected(&g)); // node 2 isolated
-        assert!(is_edge_connected(&g)); // but all edges in one component
-        let h = Graph::from_edges(4, &[(0, 1), (2, 3)]);
-        assert!(!is_edge_connected(&h));
-        assert!(is_edge_connected(&Graph::new(3)));
     }
 }

@@ -5,7 +5,6 @@
 //! `(n, m, seed)` triple.
 
 use grooming_graph::coloring::{largest_color_class, misra_gries, verify_proper};
-use grooming_graph::connectivity::edge_connectivity;
 use grooming_graph::euler::{component_euler_walks, odd_degree_nodes};
 use grooming_graph::generators;
 use grooming_graph::graph::Graph;
@@ -119,15 +118,6 @@ proptest! {
         }
         let covered_count = covered.iter().filter(|&&c| c).count();
         prop_assert_eq!(covered_count, f.edges.len());
-    }
-
-    #[test]
-    fn edge_connectivity_bounded_by_min_degree(g in arb_gnm()) {
-        if g.num_nodes() >= 2 && grooming_graph::traversal::is_connected(&g) {
-            let lambda = edge_connectivity(&g);
-            prop_assert!(lambda <= g.min_degree() as u64);
-            prop_assert!(lambda >= 1);
-        }
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! Property tests for the second wave of graph machinery: cliques,
-//! bipartite matching, subgraph extraction, and cross-validation of the
-//! connectivity algorithms against brute force on tiny instances.
+//! bipartite matching and subgraph extraction, checked against the
+//! independent implementations in `grooming-oracle`.
 
-use grooming_graph::bipartite::{bipartition, hopcroft_karp};
-use grooming_graph::cliques::{is_clique, maximal_cliques, maximum_clique, CliqueResidual};
-use grooming_graph::connectivity::{bridges, edge_connectivity};
+use grooming_graph::cliques::CliqueResidual;
 use grooming_graph::generators;
 use grooming_graph::graph::Graph;
 use grooming_graph::ids::{EdgeId, NodeId};
 use grooming_graph::matching::maximum_matching;
-use grooming_graph::subgraph::extract;
-use grooming_graph::traversal::{connected_components, is_connected};
+use grooming_oracle::bipartite::{bipartition, hopcroft_karp};
+use grooming_oracle::cliques::{is_clique, maximal_cliques, maximum_clique};
+use grooming_oracle::subgraph::extract;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,33 +31,6 @@ fn oracle_maximum_clique(g: &Graph) -> Vec<NodeId> {
         .filter(|c| c.len() == size)
         .max()
         .unwrap_or_default()
-}
-
-/// Brute-force edge connectivity: delete every edge subset of size up to
-/// `cap` (bitmask sweep; tiny graphs only). Returns `None` if no cut of
-/// size ≤ `cap` exists.
-fn brute_edge_connectivity(g: &Graph, cap: usize) -> Option<u64> {
-    if g.num_nodes() < 2 {
-        return None;
-    }
-    if !is_connected(g) {
-        return Some(0);
-    }
-    let m = g.num_edges();
-    assert!(m <= 20, "brute force capped at 20 edges");
-    let mut best: Option<u64> = None;
-    for mask in 1u32..(1 << m) {
-        let size = mask.count_ones() as usize;
-        if size > cap || best.is_some_and(|b| size as u64 >= b) {
-            continue;
-        }
-        let keep: Vec<EdgeId> = g.edges().filter(|e| mask & (1 << e.index()) == 0).collect();
-        let sub = extract(g, &keep);
-        if connected_components(&sub.graph).count > connected_components(g).count {
-            best = Some(best.map_or(size as u64, |b| b.min(size as u64)));
-        }
-    }
-    best
 }
 
 proptest! {
@@ -117,24 +89,6 @@ proptest! {
     }
 
     #[test]
-    fn stoer_wagner_matches_brute_force_on_tiny_graphs(
-        n in 3usize..=6,
-        frac in 0.3f64..=1.0,
-        seed in any::<u64>(),
-    ) {
-        let max_m = n * (n - 1) / 2;
-        let m = ((max_m as f64) * frac).round() as usize;
-        let g = generators::gnm(n, m.min(max_m), &mut StdRng::seed_from_u64(seed));
-        let fast = edge_connectivity(&g);
-        if let Some(brute) = brute_edge_connectivity(&g, 4) {
-            prop_assert_eq!(fast, brute);
-        } else {
-            // Brute force only searched cuts up to size 4.
-            prop_assert!(fast > 4 || g.num_nodes() < 2);
-        }
-    }
-
-    #[test]
     fn walecki_decomposes_every_odd_complete_graph(t in 1usize..=10) {
         let n = 2 * t + 1;
         let g = generators::complete(n);
@@ -175,22 +129,6 @@ proptest! {
         prop_assert!(covered.into_iter().all(|x| x));
     }
 
-    #[test]
-    fn bridges_are_exactly_the_1cuts(g in arb_gnm(10)) {
-        let bs = bridges(&g);
-        for e in g.edges() {
-            let without: Vec<EdgeId> = g.edges().filter(|&x| x != e).collect();
-            let sub = extract(&g, &without);
-            let comps_before = connected_components(&g).count;
-            let comps_after = connected_components(&sub.graph).count;
-            let disconnects = comps_after > comps_before;
-            prop_assert_eq!(
-                bs.contains(&e),
-                disconnects,
-                "edge {:?} bridge classification", e
-            );
-        }
-    }
 }
 
 proptest! {

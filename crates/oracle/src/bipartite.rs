@@ -1,14 +1,14 @@
 //! Bipartiteness and Hopcroft–Karp maximum bipartite matching.
 //!
-//! Hubbed ring traffic (access nodes talking to a few gateway nodes) makes
-//! bipartite traffic graphs common in practice. On those, Hopcroft–Karp
-//! finds maximum matchings in `O(E √V)` — both a faster special case for
-//! `Regular_Euler`'s matching step and an independent oracle the test
-//! suite uses to cross-validate the general blossom implementation.
+//! Hopcroft–Karp finds maximum matchings of bipartite graphs in
+//! `O(E √V)` by an algorithm that shares nothing with Edmonds' blossom
+//! search, so the test suite uses it to cross-validate
+//! `grooming_graph::matching::maximum_matching` (`Regular_Euler`'s
+//! matching step for odd `r`) on bipartite graphs.
 
-use crate::graph::Graph;
-use crate::ids::NodeId;
-use crate::matching::Matching;
+use grooming_graph::graph::Graph;
+use grooming_graph::ids::NodeId;
+use grooming_graph::matching::Matching;
 use std::collections::VecDeque;
 
 /// A 2-coloring of a bipartite graph: `side[v]` is `false`/`true` for the
@@ -65,7 +65,7 @@ pub fn bipartition(g: &Graph) -> Option<Bipartition> {
 /// Maximum matching of a **bipartite** graph via Hopcroft–Karp.
 ///
 /// Returns `None` if the graph is not bipartite (use
-/// [`crate::matching::maximum_matching`] instead).
+/// [`grooming_graph::matching::maximum_matching`] instead).
 pub fn hopcroft_karp(g: &Graph) -> Option<Matching> {
     let bip = bipartition(g)?;
     let n = g.num_nodes();
@@ -139,8 +139,8 @@ pub fn hopcroft_karp(g: &Graph) -> Option<Matching> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
-    use crate::matching::maximum_matching;
+    use grooming_graph::generators;
+    use grooming_graph::matching::maximum_matching;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

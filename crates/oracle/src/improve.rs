@@ -4,9 +4,9 @@
 //! moves, per-part `count: Vec<u32>` of size `n`, per-round subgraph
 //! re-extraction. They exist for two reasons:
 //!
-//! 1. **Golden equivalence tests** pin the incremental engine in the parent
-//!    module to *bit-identical* outputs (same partitions, same RNG
-//!    consumption) against these baselines at fixed seeds.
+//! 1. **Golden equivalence tests** pin the incremental engine in
+//!    `grooming::improve` to *bit-identical* outputs (same partitions, same
+//!    RNG consumption) against these baselines at fixed seeds.
 //! 2. The `perf_improve` bench bin times both stacks on the same instances
 //!    and records the speedup in `BENCH_improve.json`.
 //!
@@ -18,8 +18,8 @@ use grooming_graph::ids::{EdgeId, NodeId};
 use grooming_graph::spanning::TreeStrategy;
 use rand::Rng;
 
-use crate::partition::EdgePartition;
-use crate::spant_euler::spant_euler;
+use grooming::partition::EdgePartition;
+use grooming::spant_euler::spant_euler;
 
 /// Node-occupancy bookkeeping for one part: per-node incidence counts.
 #[derive(Clone, Debug)]
@@ -303,8 +303,8 @@ pub fn dense_first<R: Rng>(g: &Graph, k: usize, rng: &mut R) -> EdgePartition {
         if remaining.len() < 3 {
             break;
         }
-        let sub = grooming_graph::subgraph::extract(g, &remaining);
-        let best = grooming_graph::cliques::maximum_clique(&sub.graph);
+        let sub = crate::subgraph::extract(g, &remaining);
+        let best = crate::cliques::maximum_clique(&sub.graph);
         if best.len() < 3 {
             break;
         }
@@ -330,7 +330,7 @@ pub fn dense_first<R: Rng>(g: &Graph, k: usize, rng: &mut R) -> EdgePartition {
     // Leftovers through SpanT_Euler on an extracted subgraph.
     let leftover: Vec<EdgeId> = g.edges().filter(|e| !used[e.index()]).collect();
     if !leftover.is_empty() {
-        let sub = grooming_graph::subgraph::extract(g, &leftover);
+        let sub = crate::subgraph::extract(g, &leftover);
         let inner = spant_euler(&sub.graph, k, TreeStrategy::Bfs, rng);
         for part in inner.parts() {
             parts.push(sub.edges_to_parent(part));

@@ -1,16 +1,17 @@
 //! Frozen seed implementations of the **construction pipeline**, preserved
 //! for bit-identity checks and as the timing baseline of the `perf_pipeline`
-//! bench (the construction-path counterpart of [`crate::improve::reference`]).
+//! bench (the construction-path counterpart of [`crate::improve`]).
 //!
 //! Everything here is a verbatim copy of the pre-CSR/workspace code paths:
 //! nested `Vec<Vec<_>>` adjacency via [`Graph::incident`], `Vec<bool>` edge
 //! subsets, per-call scratch allocations, `HashMap`-based Goldschmidt
 //! splitting, and the bucket-allocating skeleton serialization. The live
-//! implementations in [`mod@crate::spant_euler`], [`mod@crate::regular_euler`],
-//! [`crate::baselines`], and the `grooming-graph` substrate must produce
-//! **bit-identical partitions** while consuming the RNG stream identically;
-//! the golden tests in `tests/golden_construct.rs` and the `perf_pipeline`
-//! bin both assert this. Do not "improve" this module — its value is that it
+//! implementations in [`mod@grooming::spant_euler`],
+//! [`mod@grooming::regular_euler`], [`grooming::baselines`], and the
+//! `grooming-graph` substrate must produce **bit-identical partitions**
+//! while consuming the RNG stream identically; the golden tests in
+//! `crates/core/tests/golden_construct.rs` and the `perf_pipeline` bin
+//! both assert this. Do not "improve" this module — its value is that it
 //! does not change.
 
 // Frozen verbatim: silence style lints introduced after the seed was cut
@@ -24,9 +25,9 @@ use grooming_graph::walk::Walk;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::partition::EdgePartition;
-use crate::regular_euler::NotRegularError;
-use crate::skeleton::{Skeleton, SkeletonCover};
+use grooming::partition::EdgePartition;
+use grooming::regular_euler::NotRegularError;
+use grooming::skeleton::{Skeleton, SkeletonCover};
 
 // ---------------------------------------------------------------------------
 // Edge subsets (seed representation: Vec<bool> membership).
@@ -565,7 +566,7 @@ fn ref_to_partition(cover: &SkeletonCover, k: usize) -> EdgePartition {
 // ---------------------------------------------------------------------------
 
 /// Seed `SpanT_Euler` (must stay bit-identical to
-/// [`crate::spant_euler::spant_euler`]).
+/// [`grooming::spant_euler::spant_euler`]).
 pub fn spant_euler<R: Rng>(
     g: &Graph,
     k: usize,
@@ -596,7 +597,7 @@ pub fn spant_euler<R: Rng>(
 }
 
 /// Seed `Regular_Euler` (must stay bit-identical to
-/// [`crate::regular_euler::regular_euler`]).
+/// [`grooming::regular_euler::regular_euler`]).
 pub fn regular_euler(g: &Graph, k: usize) -> Result<EdgePartition, NotRegularError> {
     assert!(k > 0, "grooming factor must be positive");
     let r = match g.regularity() {
@@ -625,7 +626,7 @@ pub fn regular_euler(g: &Graph, k: usize) -> Result<EdgePartition, NotRegularErr
 }
 
 /// Seed Goldschmidt baseline (must stay bit-identical to
-/// [`crate::baselines::goldschmidt`]).
+/// [`grooming::baselines::goldschmidt`]).
 pub fn goldschmidt<R: Rng>(g: &Graph, k: usize, rng: &mut R) -> EdgePartition {
     assert!(k > 0, "grooming factor must be positive");
     let m = g.num_edges();
@@ -741,7 +742,7 @@ fn ref_split_tree_into_parts(
 }
 
 /// Seed Brauner baseline (must stay bit-identical to
-/// [`crate::baselines::brauner`]).
+/// [`grooming::baselines::brauner`]).
 pub fn brauner(g: &Graph, k: usize) -> EdgePartition {
     assert!(k > 0, "grooming factor must be positive");
     if g.is_empty() {
@@ -753,7 +754,7 @@ pub fn brauner(g: &Graph, k: usize) -> EdgePartition {
 }
 
 /// Seed Wang–Gu ICC'06 baseline (must stay bit-identical to
-/// [`crate::baselines::wang_gu_icc06`]).
+/// [`grooming::baselines::wang_gu_icc06`]).
 pub fn wang_gu_icc06<R: Rng>(g: &Graph, k: usize, rng: &mut R) -> EdgePartition {
     assert!(k > 0, "grooming factor must be positive");
     if g.is_empty() {

@@ -122,7 +122,6 @@ use grooming_sonet::weighted::WeightedDemandSet;
 use crate::service::{
     BatchResponse, ItemOutcome, Request, ServiceConfig, StatsSnapshot, SubmitError,
 };
-use crate::tcp::{LINE_OVERHEAD, MAX_BUFFERED_BYTES};
 
 /// A parsed top-level request.
 #[derive(Debug)]
@@ -212,13 +211,6 @@ fn malformed(context: &'static str, line: &str) -> WireError {
         line: line.to_string(),
     }
 }
-
-/// The most lines one request block can hold before the TCP front end
-/// drops the connection: each is charged at least [`LINE_OVERHEAD`] of
-/// [`MAX_BUFFERED_BYTES`]. The parser runs while a block is still
-/// arriving, so no reservation sized from a declared count exceeds this;
-/// a header alone cannot allocate ahead of the bytes behind it.
-const MAX_BLOCK_LINES: u64 = (MAX_BUFFERED_BYTES / LINE_OVERHEAD) as u64;
 
 /// One request block being parsed: the lines it has left, and the first
 /// error found in it so far.
@@ -421,11 +413,11 @@ fn read_sized_block<T>(
     // work, so m alone can trip the cap.
     block.end_if(within(what, m, config.max_units))?;
 
-    let lines = body(n, m);
-    let mut text = String::with_capacity(header.len() + 8 * lines.min(MAX_BLOCK_LINES) as usize);
-    text.push_str(header);
+    // The text grows as body lines arrive: nothing is reserved from the
+    // counts a header declares.
+    let mut text = String::from(header);
     text.push('\n');
-    for _ in 0..lines {
+    for _ in 0..body(n, m) {
         let line = block.line()?;
         text.push_str(line.trim());
         text.push('\n');
@@ -483,7 +475,7 @@ fn read_plan_block(block: &mut Block<'_>) -> Result<Option<Vec<Vec<EdgeId>>>, Re
     // A non-degenerate part holds at least one edge, and edges are capped
     // by the unit limit — so the part count is too.
     block.end_if(within("plan parts", w, block.config.max_units))?;
-    let mut parts = Vec::with_capacity(w.min(MAX_BLOCK_LINES) as usize);
+    let mut parts = Vec::new();
     let mut whole = true;
     for _ in 0..w {
         let line = block.line()?;

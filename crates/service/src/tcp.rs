@@ -54,7 +54,7 @@ pub const MAX_BUFFERED_BYTES: usize = 16 << 20;
 
 /// What a line costs beyond its text: its `\n` and the `String` holding
 /// it, so blank lines inside an open block fill the cap too.
-pub(crate) const LINE_OVERHEAD: usize = 1 + std::mem::size_of::<String>();
+const LINE_OVERHEAD: usize = 1 + std::mem::size_of::<String>();
 
 /// How many *consecutive* fatal accept errors the listener tolerates
 /// before it gives up and begins a graceful shutdown.

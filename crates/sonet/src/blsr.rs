@@ -220,64 +220,6 @@ pub fn groom_blsr(ring: BlsrRing, demands: &DemandSet, k: usize) -> BlsrAssignme
     assignment
 }
 
-/// Assigns TDM timeslots (`0..k`) to the routed demands of one wavelength:
-/// two demands may share a slot iff their span sets are disjoint. This is
-/// circular-arc graph coloring (NP-hard in general), solved greedily:
-/// demands crossing span 0 first (they pairwise conflict, so they seed
-/// distinct slots), then the rest by clockwise start — the classic
-/// cut-and-color heuristic that is optimal on the interval remainder.
-///
-/// Returns `None` if the greedy needs more than `k` slots (which can
-/// happen even for feasible instances — callers treat it as "repack").
-pub fn assign_timeslots(ring: &BlsrRing, demands: &[RoutedDemand], k: usize) -> Option<Vec<usize>> {
-    let n = ring.num_nodes();
-    // slot_used[span][slot]
-    let mut slot_used = vec![vec![false; k]; n];
-    let mut slots = vec![usize::MAX; demands.len()];
-
-    // Order: arcs containing span 0 first, then by clockwise start.
-    let spans: Vec<Vec<RingArc>> = demands.iter().map(|&d| ring.spans_used(d)).collect();
-    let mut order: Vec<usize> = (0..demands.len()).collect();
-    let start_of = |i: usize| -> usize { spans[i].iter().map(|s| s.index()).min().unwrap_or(0) };
-    order.sort_by_key(|&i| {
-        let crosses0 = spans[i].iter().any(|s| s.index() == 0);
-        (!crosses0, start_of(i))
-    });
-
-    for i in order {
-        let slot = (0..k).find(|&s| spans[i].iter().all(|sp| !slot_used[sp.index()][s]))?;
-        for sp in &spans[i] {
-            slot_used[sp.index()][slot] = true;
-        }
-        slots[i] = slot;
-    }
-    debug_assert!(timeslots_valid(ring, demands, &slots, k));
-    Some(slots)
-}
-
-/// Checks a timeslot assignment: every slot in range, no span carries two
-/// demands in the same slot.
-pub fn timeslots_valid(
-    ring: &BlsrRing,
-    demands: &[RoutedDemand],
-    slots: &[usize],
-    k: usize,
-) -> bool {
-    if slots.len() != demands.len() || slots.iter().any(|&s| s >= k) {
-        return false;
-    }
-    let mut used = vec![vec![false; k]; ring.num_nodes()];
-    for (d, &s) in demands.iter().zip(slots) {
-        for span in ring.spans_used(*d) {
-            if used[span.index()][s] {
-                return false;
-            }
-            used[span.index()][s] = true;
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,69 +296,6 @@ mod tests {
                 assert!(a.num_wavelengths() >= lb);
             }
         }
-    }
-
-    #[test]
-    fn disjoint_arcs_share_slot_zero() {
-        let ring = BlsrRing::new(8);
-        let demands: Vec<RoutedDemand> = [(0, 1), (2, 3), (4, 5), (6, 7)]
-            .iter()
-            .map(|&(a, b)| ring.shortest_route(pair(a, b)))
-            .collect();
-        let slots = assign_timeslots(&ring, &demands, 4).unwrap();
-        assert!(slots.iter().all(|&s| s == 0));
-        assert!(timeslots_valid(&ring, &demands, &slots, 4));
-    }
-
-    #[test]
-    fn overlapping_arcs_need_distinct_slots() {
-        let ring = BlsrRing::new(6);
-        // Three demands all using span 0->1.
-        let demands: Vec<RoutedDemand> = vec![
-            ring.shortest_route(pair(0, 1)),
-            ring.shortest_route(pair(0, 2)),
-            ring.shortest_route(pair(5, 1)),
-        ];
-        assert!(assign_timeslots(&ring, &demands, 2).is_none());
-        let slots = assign_timeslots(&ring, &demands, 3).unwrap();
-        let mut sorted = slots.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 3, "all three share span 0: distinct slots");
-        assert!(timeslots_valid(&ring, &demands, &slots, 3));
-    }
-
-    #[test]
-    fn groomed_wavelengths_always_get_timeslots_at_double_capacity() {
-        // Cut-and-color uses at most 2x the max load, so every greedy
-        // grooming at factor k slots successfully at 2k.
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        for seed in 0..5u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let demands = DemandSet::random(12, 25, &mut rng);
-            let ring = BlsrRing::new(12);
-            let a = groom_blsr(ring, &demands, 4);
-            for wave in a.wavelengths() {
-                let slots = assign_timeslots(&ring, wave, 8).expect("2x capacity always slots");
-                assert!(timeslots_valid(&ring, wave, &slots, 8));
-            }
-        }
-    }
-
-    #[test]
-    fn validator_rejects_bad_assignments() {
-        let ring = BlsrRing::new(6);
-        let demands = vec![
-            ring.shortest_route(pair(0, 2)),
-            ring.shortest_route(pair(1, 3)),
-        ];
-        // Both use span 1->2: same slot is invalid.
-        assert!(!timeslots_valid(&ring, &demands, &[0, 0], 2));
-        assert!(timeslots_valid(&ring, &demands, &[0, 1], 2));
-        // Out of range / wrong length.
-        assert!(!timeslots_valid(&ring, &demands, &[0, 5], 2));
-        assert!(!timeslots_valid(&ring, &demands, &[0], 2));
     }
 
     #[test]

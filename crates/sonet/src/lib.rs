@@ -31,9 +31,6 @@
 //! * [`blsr`] — the bidirectional (BLSR) variant with shortest-path
 //!   routing and per-span capacity, for quantifying what the UPSR
 //!   assumption costs;
-//! * [`directed`] — the directed-circuit layer underneath the symmetric
-//!   formulation, with the paper's same-wavelength modeling lemma (its
-//!   ref \[18\]) made executable;
 //! * [`multiring`] — stacked rings joined at gateways: network demands
 //!   decompose into intra-ring segments, each of which is the paper's
 //!   single-ring problem.
@@ -50,7 +47,6 @@ pub mod blsr;
 pub mod channel;
 pub mod cost;
 pub mod demand;
-pub mod directed;
 pub mod grooming;
 pub mod multiring;
 pub mod protection;

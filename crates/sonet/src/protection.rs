@@ -12,7 +12,7 @@
 //! * a **double span cut** partitions the ring into two arcs; exactly the
 //!   demands whose endpoints sit on opposite sides are lost.
 
-use crate::demand::{DemandPair, DemandSet};
+use crate::demand::DemandSet;
 use crate::ring::{RingArc, UpsrRing};
 use grooming_graph::ids::NodeId;
 
@@ -128,24 +128,6 @@ pub fn simulate(ring: &UpsrRing, demands: &DemandSet, failure: &Failure) -> Surv
     }
 }
 
-/// The demand pairs a **double** cut disconnects: exactly those whose
-/// endpoints lie on opposite sides of the two cut spans. Exposed for tests
-/// and capacity planning.
-pub fn pairs_lost_by_double_cut(
-    ring: &UpsrRing,
-    demands: &DemandSet,
-    a: RingArc,
-    b: RingArc,
-) -> Vec<DemandPair> {
-    let failure = Failure::double(a, b);
-    demands
-        .pairs()
-        .iter()
-        .copied()
-        .filter(|p| directed_fate(ring, p.lo(), p.hi(), &failure) == DemandFate::Lost)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,13 +174,15 @@ mod tests {
         let demands = DemandSet::all_to_all(6);
         // Cut spans 0 (between 0 and 1) and 3 (between 3 and 4):
         // sides are {1,2,3} and {4,5,0}.
-        let lost = pairs_lost_by_double_cut(&ring, &demands, span(0), span(3));
-        assert_eq!(lost.len(), 9); // 3 × 3 cross pairs
-        for p in lost {
+        let rep = simulate(&ring, &demands, &Failure::double(span(0), span(3)));
+        let mut lost = 0;
+        for (p, &(fate, _)) in demands.pairs().iter().zip(&rep.fates) {
             let side_lo = (1..=3).contains(&p.lo().0);
             let side_hi = (1..=3).contains(&p.hi().0);
-            assert_ne!(side_lo, side_hi, "lost pair {p} must be separated");
+            assert_eq!(fate == DemandFate::Lost, side_lo != side_hi, "pair {p}");
+            lost += usize::from(fate == DemandFate::Lost);
         }
+        assert_eq!(lost, 9); // 3 × 3 cross pairs
     }
 
     #[test]

@@ -130,31 +130,6 @@ fn budget_layer_composes_with_the_pipeline_demands() {
 }
 
 #[test]
-fn symmetric_grooming_lifts_to_a_valid_directed_assignment() {
-    // The paper's §1 reduction, round-tripped: groom symmetrically, lift
-    // to directed circuits, and confirm validity + identical SADM count.
-    use grooming_sonet::directed::join_pairs;
-    let demands = DemandSet::random(14, 30, &mut rng(11));
-    let out = groom(
-        &demands,
-        8,
-        Algorithm::SpanTEuler(TreeStrategy::Bfs),
-        &mut rng(11),
-    )
-    .unwrap();
-    let groups: Vec<Vec<grooming_sonet::demand::DemandPair>> = out
-        .assignment
-        .channels()
-        .iter()
-        .map(|c| c.pairs().to_vec())
-        .collect();
-    let directed = join_pairs(UpsrRing::new(14), 8, &groups);
-    directed.validate().unwrap();
-    assert_eq!(directed.sadm_count(), out.report.sadm_total);
-    assert_eq!(directed.num_wavelengths(), out.report.wavelengths);
-}
-
-#[test]
 fn weighted_protection_drill() {
     // Expand weighted demands, groom, and verify survivability of the
     // expanded set (duplicates included).
