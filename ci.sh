@@ -123,9 +123,10 @@ target/release/perf_service --fast --out /tmp/BENCH_groomd_fast.json
 echo "== perf smoke: million-edge scale tier (release, --fast) =="
 # Runs the three scale-tier generator families at n = 10^4 through the
 # SpanT_Euler construction and sparse-incidence refinement, asserts the
-# sparse-vs-dense bit-identity contract, and asserts peak RSS stays under
-# the fast tier's documented ceiling (the binary exits non-zero on a
-# breach). The checked-in
+# sparse-vs-dense bit-identity contract, asserts peak RSS stays under
+# the fast tier's documented ceiling, and asserts no family's
+# swaps_evaluated rises above its pinned count (the binary exits non-zero
+# on a breach). The checked-in
 # results/BENCH_scale.json is produced by the full run:
 # target/release/perf_scale
 target/release/perf_scale --fast --out /tmp/BENCH_scale_fast.json
@@ -148,8 +149,10 @@ echo "== perf smoke: mesh loading baseline (release, --fast) =="
 # curve at least 1.2x faster in aggregate (the fast tier measured
 # 2.47-2.57x). Also measures mesh solve throughput through the service
 # with the cache off (the median of five timed phases), asserts
-# byte-identical transcripts at 1 vs 4 workers, and asserts peak RSS stays
-# under the fast tier's ceiling (the binary exits non-zero on any breach).
+# byte-identical transcripts at 1 vs 4 workers, asserts the curve's route
+# table hits do not fall below their pinned total (1,457), and asserts peak
+# RSS stays under the fast tier's ceiling (the binary exits non-zero on any
+# breach).
 # The checked-in results/BENCH_mesh.json is produced by the full run:
 # target/release/perf_mesh
 target/release/perf_mesh --fast --out /tmp/BENCH_mesh_fast.json
@@ -163,6 +166,15 @@ echo "== perf smoke: groomsim dynamic-traffic baseline (release, --fast) =="
 # checked-in results/BENCH_sim.json is produced by the full run:
 # target/release/perf_sim
 target/release/perf_sim --fast --out /tmp/BENCH_sim_fast.json
+
+echo "== perf smoke baselines parse as JSON =="
+# The seven perf bins share one hand-rolled writer (grooming_bench::harness);
+# a layout bug there must fail here, not in whoever reads the baselines.
+for f in /tmp/BENCH_improve_fast.json /tmp/BENCH_pipeline_fast.json \
+  /tmp/BENCH_groomd_fast.json /tmp/BENCH_scale_fast.json /tmp/BENCH_churn_fast.json \
+  /tmp/BENCH_mesh_fast.json /tmp/BENCH_sim_fast.json; do
+  python3 -m json.tool "$f" > /dev/null || { echo "error: $f is not valid JSON"; exit 1; }
+done
 
 echo "== cargo doc (no deps, warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet

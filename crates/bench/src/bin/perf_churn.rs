@@ -22,13 +22,14 @@
 //!
 //! Usage: `perf_churn [--fast] [--out PATH]`
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use grooming::algorithm::Algorithm;
 use grooming::partition::EdgePartition;
 use grooming::solve::{DemandDelta, Instance, Plan, SolveContext, Solver};
-use grooming_bench::{ms, peak_rss_mb};
+use grooming_bench::fields;
+use grooming_bench::harness::{fixed, Bound, Harness, Json, Tier};
+use grooming_bench::ms;
 use grooming_graph::ids::NodeId;
 use grooming_graph::spanning::TreeStrategy;
 use grooming_sonet::demand::{DemandPair, DemandSet};
@@ -37,77 +38,6 @@ use rand::{Rng, SeedableRng};
 
 /// Acceptance floor on total cold time / total warm time.
 const SPEEDUP_FLOOR: f64 = 5.0;
-
-/// Peak-RSS ceilings per tier, matching the scale tier's documented
-/// footprint (the warm path adds no superlinear state).
-const FAST_RSS_CEILING_MB: f64 = 256.0;
-const FULL_RSS_CEILING_MB: f64 = 1024.0;
-
-#[derive(Clone, Copy, PartialEq)]
-enum Tier {
-    Fast,
-    Full,
-}
-
-impl Tier {
-    fn n(self) -> usize {
-        match self {
-            Tier::Fast => 10_000,
-            Tier::Full => 100_000,
-        }
-    }
-
-    fn windows(self) -> usize {
-        match self {
-            Tier::Fast => 4,
-            Tier::Full => 8,
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Tier::Fast => "fast",
-            Tier::Full => "full",
-        }
-    }
-
-    fn rss_ceiling_mb(self) -> f64 {
-        match self {
-            Tier::Fast => FAST_RSS_CEILING_MB,
-            Tier::Full => FULL_RSS_CEILING_MB,
-        }
-    }
-}
-
-struct Opts {
-    tier: Tier,
-    out: String,
-}
-
-fn parse_opts() -> Opts {
-    let mut opts = Opts {
-        tier: Tier::Full,
-        out: "results/BENCH_churn.json".to_string(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--fast" => opts.tier = Tier::Fast,
-            "--out" => {
-                opts.out = args.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a path");
-                    std::process::exit(2);
-                })
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: perf_churn [--fast] [--out PATH]");
-                std::process::exit(2);
-            }
-        }
-    }
-    opts
-}
 
 fn random_pair(n: usize, rng: &mut StdRng) -> DemandPair {
     let a = rng.gen_range(0..n as u32);
@@ -118,49 +48,12 @@ fn random_pair(n: usize, rng: &mut StdRng) -> DemandPair {
     DemandPair::new(NodeId(a), NodeId(b))
 }
 
-fn demand_set(n: usize, pairs: &[DemandPair]) -> DemandSet {
-    let mut s = DemandSet::new(n);
-    for p in pairs {
-        s.add(p.lo(), p.hi());
-    }
-    s
-}
-
-/// Applies a delta to the pair list exactly the way `solve_reconfigure`
-/// numbers the post-delta snapshot: removals consume the earliest
-/// surviving occurrence, survivors keep relative order, additions append.
-fn apply_delta(pairs: &[DemandPair], delta: &DemandDelta) -> Vec<DemandPair> {
-    use std::collections::HashMap;
-    let mut to_remove: HashMap<DemandPair, usize> = HashMap::new();
-    for &p in &delta.removed {
-        *to_remove.entry(p).or_insert(0) += 1;
-    }
-    let mut next = Vec::with_capacity(pairs.len() + delta.added.len());
-    for &p in pairs {
-        match to_remove.get_mut(&p) {
-            Some(cnt) if *cnt > 0 => *cnt -= 1,
-            _ => next.push(p),
-        }
-    }
-    next.extend_from_slice(&delta.added);
-    next
-}
-
-struct Window {
-    index: usize,
-    m: usize,
-    warm_ms: f64,
-    cold_ms: f64,
-    warm_cost: usize,
-    cold_cost: usize,
-    parts_repaired: u64,
-    sadms_moved: u64,
-}
-
 fn main() {
-    let opts = parse_opts();
-    let tier = opts.tier;
-    let n = tier.n();
+    let h = Harness::from_env("perf_churn", "results/BENCH_churn.json", false);
+    let (n, windows) = match h.tier {
+        Tier::Fast => (10_000, 4usize),
+        _ => (100_000, 8),
+    };
     let k = 16usize;
     let base_m = 3 * n;
     let delta_size = (n / 1000).max(4);
@@ -169,17 +62,21 @@ fn main() {
     println!(
         "perf_churn: tier {} (n = {n}, k = {k}, base m = {base_m}, \
          delta = -{delta_size}/+{delta_size} per window)",
-        tier.name()
+        h.tier.name()
     );
 
     let mut rng = StdRng::seed_from_u64(0xc4u64);
-    let mut pairs: Vec<DemandPair> = (0..base_m).map(|_| random_pair(n, &mut rng)).collect();
+    let mut demands = DemandSet::new(n);
+    for _ in 0..base_m {
+        let p = random_pair(n, &mut rng);
+        demands.add(p.lo(), p.hi());
+    }
 
     // Cold base: the full offline groom the warm chain resumes from.
     let t = Instant::now();
     let sol = offline
         .solve(
-            &Instance::ring(demand_set(n, &pairs), k),
+            &Instance::ring(demands.clone(), k),
             &mut SolveContext::seeded(7),
         )
         .expect("ring solves are total");
@@ -192,12 +89,7 @@ fn main() {
     // byte for byte with zero repairs.
     let sol = offline
         .solve(
-            &Instance::reconfigure(
-                demand_set(n, &pairs),
-                prior.clone(),
-                DemandDelta::default(),
-                k,
-            ),
+            &Instance::reconfigure(demands.clone(), prior.clone(), DemandDelta::default(), k),
             &mut SolveContext::seeded(8),
         )
         .expect("warm starts are total");
@@ -217,19 +109,22 @@ fn main() {
     assert_eq!(parts_repaired, 0, "empty delta repaired parts");
     println!("  empty-delta identity ok");
 
-    let mut windows: Vec<Window> = Vec::new();
-    for w in 1..=tier.windows() {
+    let (mut total_warm, mut total_cold) = (0.0, 0.0);
+    let mut rows = Vec::new();
+    for w in 1..=windows {
         let removed: Vec<DemandPair> = (0..delta_size)
-            .map(|_| pairs[rng.gen_range(0..pairs.len())])
+            .map(|_| demands.pairs()[rng.gen_range(0..demands.len())])
             .collect();
         let added: Vec<DemandPair> = (0..delta_size).map(|_| random_pair(n, &mut rng)).collect();
         let delta = DemandDelta::new(added, removed);
-        let next_pairs = apply_delta(&pairs, &delta);
+        let (next, _) = delta
+            .apply(&demands)
+            .expect("removals draw from the snapshot");
 
         let t = Instant::now();
         let warm = offline
             .solve(
-                &Instance::reconfigure(demand_set(n, &pairs), prior.clone(), delta.clone(), k),
+                &Instance::reconfigure(demands.clone(), prior.clone(), delta.clone(), k),
                 &mut SolveContext::seeded(100 + w as u64),
             )
             .expect("warm starts are total");
@@ -247,7 +142,7 @@ fn main() {
         let t = Instant::now();
         let cold = offline
             .solve(
-                &Instance::ring(demand_set(n, &next_pairs), k),
+                &Instance::ring(next.clone(), k),
                 &mut SolveContext::seeded(200 + w as u64),
             )
             .expect("ring solves are total");
@@ -258,7 +153,7 @@ fn main() {
             "  window {w}: m {:>8}  warm {warm_ms:>8.1} ms (cost {warm_cost}, \
              {parts_repaired} parts, {sadms_moved} SADMs moved)  \
              cold {cold_ms:>8.1} ms (cost {cold_cost})  speedup {:>6.1}x",
-            next_pairs.len(),
+            next.len(),
             cold_ms / warm_ms.max(1e-9),
         );
 
@@ -272,76 +167,46 @@ fn main() {
             "window {w}: warm solve ({warm_ms:.1} ms) slower than cold ({cold_ms:.1} ms)"
         );
 
-        windows.push(Window {
-            index: w,
-            m: next_pairs.len(),
-            warm_ms,
-            cold_ms,
-            warm_cost,
-            cold_cost,
-            parts_repaired,
-            sadms_moved,
-        });
-        pairs = next_pairs;
+        total_warm += warm_ms;
+        total_cold += cold_ms;
+        rows.push(Json::Obj(fields![
+            "window" => w, "m" => next.len(), "warm_ms" => fixed(warm_ms, 1),
+            "cold_ms" => fixed(cold_ms, 1), "warm_cost" => warm_cost, "cold_cost" => cold_cost,
+            "parts_repaired" => parts_repaired, "sadms_moved" => sadms_moved,
+        ]));
+        demands = next;
         prior = outcome.partition;
         prior_cost = warm_cost;
     }
 
-    let total_warm: f64 = windows.iter().map(|w| w.warm_ms).sum();
-    let total_cold: f64 = windows.iter().map(|w| w.cold_ms).sum();
-    let speedup = total_cold / total_warm.max(1e-9);
-    let peak_mb = peak_rss_mb();
-    let ceiling = tier.rss_ceiling_mb();
+    let speedup = total_cold / f64::max(total_warm, 1e-9);
     println!(
         "  total: warm {total_warm:.1} ms, cold {total_cold:.1} ms, \
-         speedup {speedup:.1}x (floor {SPEEDUP_FLOOR:.0}x), peak RSS {peak_mb:.1} MiB"
+         speedup {speedup:.1}x (floor {SPEEDUP_FLOOR:.0}x)"
     );
+    let rss = h.rss();
 
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\n  \"bench\": \"perf_churn\",\n  \"tier\": \"{}\",\n  \"n\": {n},\n  \
-         \"k\": {k},\n  \"base_m\": {base_m},\n  \"delta_per_window\": {delta_size},\n  \
-         \"base_cold_ms\": {base_ms:.1},\n  \"empty_delta_identity\": true,\n  \
-         \"windows\": [\n",
-        tier.name()
-    );
-    for (i, w) in windows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"window\": {}, \"m\": {}, \"warm_ms\": {:.1}, \"cold_ms\": {:.1}, \
-             \"warm_cost\": {}, \"cold_cost\": {}, \"parts_repaired\": {}, \
-             \"sadms_moved\": {}}}{}",
-            w.index,
-            w.m,
-            w.warm_ms,
-            w.cold_ms,
-            w.warm_cost,
-            w.cold_cost,
-            w.parts_repaired,
-            w.sadms_moved,
-            if i + 1 < windows.len() { "," } else { "" }
-        );
-    }
-    let _ = write!(
-        json,
-        "  ],\n  \"total_warm_ms\": {total_warm:.1},\n  \"total_cold_ms\": {total_cold:.1},\n  \
-         \"speedup\": {speedup:.1},\n  \"speedup_floor\": {SPEEDUP_FLOOR:.1},\n  \
-         \"peak_rss_mb\": {peak_mb:.1},\n  \"rss_ceiling_mb\": {ceiling:.0}\n}}\n"
-    );
-    std::fs::write(&opts.out, json).unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", opts.out);
-        std::process::exit(1);
-    });
-    println!("baseline written to {}", opts.out);
+    let mut doc = fields![
+        "tier" => h.tier.name(),
+        "n" => n,
+        "k" => k,
+        "base_m" => base_m,
+        "delta_per_window" => delta_size,
+        "base_cold_ms" => fixed(base_ms, 1),
+        "empty_delta_identity" => true,
+        "windows" => Json::Rows(rows),
+        "total_warm_ms" => fixed(total_warm, 1),
+        "total_cold_ms" => fixed(total_cold, 1),
+        "speedup" => fixed(speedup, 1),
+        "speedup_floor" => fixed(SPEEDUP_FLOOR, 1),
+    ];
+    doc.extend(rss.fields());
+    h.write(doc);
 
-    assert!(
-        speedup >= SPEEDUP_FLOOR,
-        "warm-vs-cold speedup {speedup:.1}x fell below the {SPEEDUP_FLOOR:.0}x floor"
+    h.check(
+        "warm-vs-cold speedup",
+        speedup,
+        Bound::AtLeast(SPEEDUP_FLOOR),
     );
-    assert!(
-        peak_mb < ceiling,
-        "peak RSS {peak_mb:.1} MiB breached the {} tier's ceiling of {ceiling:.0} MiB",
-        tier.name()
-    );
+    h.check_rss(&rss);
 }

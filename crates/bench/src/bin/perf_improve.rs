@@ -15,11 +15,11 @@
 //!
 //! Usage: `perf_improve [--fast] [--out PATH]`
 
-use std::fmt::Write as _;
-
 use grooming::improve;
 use grooming::partition::EdgePartition;
 use grooming::spant_euler::spant_euler;
+use grooming_bench::fields;
+use grooming_bench::harness::{fixed, Bound, Harness, Json};
 use grooming_bench::time_best;
 use grooming_graph::generators;
 use grooming_graph::graph::Graph;
@@ -35,36 +35,6 @@ use rand::{RngCore, SeedableRng};
 /// reference) trips it and a noisy host does not.
 const FAST_DENSE_FIRST_FLOOR: f64 = 25.0;
 
-struct Opts {
-    fast: bool,
-    out: String,
-}
-
-fn parse_opts() -> Opts {
-    let mut opts = Opts {
-        fast: false,
-        out: "results/BENCH_improve.json".to_string(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--fast" => opts.fast = true,
-            "--out" => {
-                opts.out = args.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a path");
-                    std::process::exit(2);
-                })
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: perf_improve [--fast] [--out PATH]");
-                std::process::exit(2);
-            }
-        }
-    }
-    opts
-}
-
 struct StageResult {
     stage: &'static str,
     ref_ms: f64,
@@ -77,6 +47,32 @@ impl StageResult {
     fn speedup(&self) -> f64 {
         self.ref_ms / self.new_ms.max(1e-9)
     }
+
+    fn print(&self) {
+        println!(
+            "  {:<12} ref {:>9.3} ms   new {:>9.3} ms   speedup {:>6.2}x   cost {}   identical",
+            self.stage,
+            self.ref_ms,
+            self.new_ms,
+            self.speedup(),
+            self.cost
+        );
+    }
+
+    fn json(&self) -> Json {
+        Json::Obj(fields![
+            "stage" => self.stage, "ref_ms" => fixed(self.ref_ms, 3),
+            "new_ms" => fixed(self.new_ms, 3), "speedup" => fixed(self.speedup(), 2),
+            "cost" => self.cost, "identical" => self.identical,
+        ])
+    }
+}
+
+/// Prints an instance's header line and returns its leading BENCH keys.
+fn instance_head(name: &str, g: &Graph, k: usize) -> Vec<(&'static str, Json)> {
+    let (n, m) = (g.num_nodes(), g.num_edges());
+    println!("instance {name} (n={n}, m={m}, k={k}):");
+    fields!["name" => name, "n" => n, "m" => m, "k" => k]
 }
 
 fn run_instance(
@@ -86,7 +82,7 @@ fn run_instance(
     graph_seed: u64,
     anneal_iters: usize,
     reps: usize,
-) -> (Vec<StageResult>, String) {
+) -> (Vec<StageResult>, Json) {
     let base = spant_euler(
         g,
         k,
@@ -154,92 +150,38 @@ fn run_instance(
 
     let pipe_ref: f64 = stages.iter().map(|s| s.ref_ms).sum();
     let pipe_new: f64 = stages.iter().map(|s| s.new_ms).sum();
+    let pipe_speedup = pipe_ref / pipe_new.max(1e-9);
+    let mut entry = instance_head(name, g, k);
+    stages.iter().for_each(StageResult::print);
     println!(
-        "instance {name} (n={}, m={}, k={k}):",
-        g.num_nodes(),
-        g.num_edges()
+        "  {:<12} ref {pipe_ref:>9.3} ms   new {pipe_new:>9.3} ms   speedup {pipe_speedup:>6.2}x",
+        "pipeline"
     );
-    for s in &stages {
-        println!(
-            "  {:<12} ref {:>9.3} ms   new {:>9.3} ms   speedup {:>6.2}x   cost {}   identical",
-            s.stage,
-            s.ref_ms,
-            s.new_ms,
-            s.speedup(),
-            s.cost
-        );
-    }
-    println!(
-        "  {:<12} ref {:>9.3} ms   new {:>9.3} ms   speedup {:>6.2}x",
-        "pipeline",
-        pipe_ref,
-        pipe_new,
-        pipe_ref / pipe_new.max(1e-9)
-    );
-
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "    {{\n      \"name\": \"{name}\",\n      \"n\": {},\n      \"m\": {},\n      \"k\": {k},\n      \"graph_seed\": {graph_seed},\n      \"anneal_iters\": {anneal_iters},\n      \"stages\": [\n",
-        g.num_nodes(),
-        g.num_edges()
-    );
-    for (i, s) in stages.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "        {{\"stage\": \"{}\", \"ref_ms\": {:.3}, \"new_ms\": {:.3}, \"speedup\": {:.2}, \"cost\": {}, \"identical\": {}}}{}",
-            s.stage,
-            s.ref_ms,
-            s.new_ms,
-            s.speedup(),
-            s.cost,
-            s.identical,
-            if i + 1 < stages.len() { "," } else { "" }
-        );
-    }
-    let _ = write!(
-        json,
-        "      ],\n      \"pipeline\": {{\"ref_ms\": {:.3}, \"new_ms\": {:.3}, \"speedup\": {:.2}}}\n    }}",
-        pipe_ref,
-        pipe_new,
-        pipe_ref / pipe_new.max(1e-9)
-    );
-    (stages, json)
+    entry.extend(fields![
+        "graph_seed" => graph_seed,
+        "anneal_iters" => anneal_iters,
+        "stages" => Json::Rows(stages.iter().map(StageResult::json).collect()),
+        "pipeline" => Json::Obj(fields![
+            "ref_ms" => fixed(pipe_ref, 3), "new_ms" => fixed(pipe_new, 3),
+            "speedup" => fixed(pipe_speedup, 2),
+        ]),
+    ]);
+    (stages, Json::Block(entry))
 }
 
-/// Prints a one-stage instance and returns its JSON entry.
-fn single_stage_entry(name: &str, g: &Graph, k: usize, s: &StageResult) -> String {
-    println!(
-        "instance {name} (n={}, m={}, k={k}):",
-        g.num_nodes(),
-        g.num_edges()
-    );
-    println!(
-        "  {:<12} ref {:>9.3} ms   new {:>9.3} ms   speedup {:>6.2}x   cost {}   identical",
-        s.stage,
-        s.ref_ms,
-        s.new_ms,
-        s.speedup(),
-        s.cost
-    );
-    format!(
-        "    {{\n      \"name\": \"{name}\",\n      \"n\": {},\n      \"m\": {},\n      \"k\": {k},\n      \"stages\": [\n        {{\"stage\": \"{}\", \"ref_ms\": {:.3}, \"new_ms\": {:.3}, \"speedup\": {:.2}, \"cost\": {}, \"identical\": {}}}\n      ]\n    }}",
-        g.num_nodes(),
-        g.num_edges(),
-        s.stage,
-        s.ref_ms,
-        s.new_ms,
-        s.speedup(),
-        s.cost,
-        s.identical
-    )
+/// Prints a one-stage instance and returns its BENCH entry.
+fn single_stage_entry(name: &str, g: &Graph, k: usize, s: &StageResult) -> Json {
+    let mut entry = instance_head(name, g, k);
+    s.print();
+    entry.push(("stages", Json::Rows(vec![s.json()])));
+    Json::Block(entry)
 }
 
 /// Merge-only stage from an all-singletons partition — the workload where
 /// the cached overlap matrix matters: the reference re-scores every pair
 /// against `0..n` each round (O(rounds·W²·n)), the incremental version
 /// scores once and re-scores only the merged part's row.
-fn run_singleton_merge(name: &str, g: &Graph, k: usize, reps: usize) -> String {
+fn run_singleton_merge(name: &str, g: &Graph, k: usize, reps: usize) -> Json {
     let singles = EdgePartition::new(g.edges().map(|e| vec![e]).collect());
     let (new_ms, merged) = time_best(reps, || improve::merge_parts(g, k, &singles));
     let (ref_ms, merged_ref) = time_best(reps, || reference::merge_parts(g, k, &singles));
@@ -259,7 +201,7 @@ fn run_singleton_merge(name: &str, g: &Graph, k: usize, reps: usize) -> String {
 
 /// The whole DenseFirst packer against its seed version, from identical
 /// RNG streams: the outputs and the streams' next draws must agree.
-fn run_dense_first(name: &str, g: &Graph, k: usize, reps: usize) -> (StageResult, String) {
+fn run_dense_first(name: &str, g: &Graph, k: usize, reps: usize) -> (StageResult, Json) {
     let run = |f: fn(&Graph, usize, &mut StdRng) -> EdgePartition| {
         let mut rng = StdRng::seed_from_u64(43);
         let p = f(g, k, &mut rng);
@@ -280,13 +222,13 @@ fn run_dense_first(name: &str, g: &Graph, k: usize, reps: usize) -> (StageResult
 }
 
 fn main() {
-    let opts = parse_opts();
-    let reps = if opts.fast { 1 } else { 3 };
+    let h = Harness::from_env("perf_improve", "results/BENCH_improve.json", false);
+    let reps = if h.fast() { 1 } else { 3 };
     // 50k sweeps is already 10× the largest anneal budget used anywhere in
     // the workspace (5k in the criterion bench); beyond that the pipeline
     // timing degenerates into measuring the shared RNG + Metropolis-`exp`
     // stream that bit-identity forces both implementations to consume.
-    let anneal_iters = if opts.fast { 10_000 } else { 50_000 };
+    let anneal_iters = if h.fast() { 10_000 } else { 50_000 };
 
     // Fixed instances: the acceptance-criterion instance first, then a
     // denser one for headroom. Graph seeds are pinned so the baseline is
@@ -303,7 +245,7 @@ fn main() {
     let (packer, json) = run_dense_first("dense_first_gnm_100_768_k16", &metro, 16, reps);
     entries.push(json);
 
-    if !opts.fast {
+    if !h.fast() {
         let dense = generators::gnm(150, 1500, &mut StdRng::seed_from_u64(8));
         let (_, json) = run_instance("gnm_150_1500_k32", &dense, 32, 8, anneal_iters, reps);
         entries.push(json);
@@ -317,23 +259,17 @@ fn main() {
         ));
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"perf_improve\",\n  \"fast\": {},\n  \"reps\": {reps},\n  \"instances\": [\n{}\n  ]\n}}\n",
-        opts.fast,
-        entries.join(",\n")
-    );
-    std::fs::write(&opts.out, json).unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", opts.out);
-        std::process::exit(1);
-    });
-    println!("baseline written to {}", opts.out);
+    h.write(fields![
+        "fast" => h.fast(),
+        "reps" => reps,
+        "instances" => Json::Rows(entries),
+    ]);
     println!("primary pipeline speedup: {pipeline_speedup:.2}x");
-    if opts.fast {
-        assert!(
-            packer.speedup() >= FAST_DENSE_FIRST_FLOOR,
-            "dense_first ran only {:.2}x faster than its reference (the fast tier's floor is \
-             {FAST_DENSE_FIRST_FLOOR}x)",
-            packer.speedup()
+    if h.fast() {
+        h.check(
+            "dense_first speedup over its reference",
+            packer.speedup(),
+            Bound::AtLeast(FAST_DENSE_FIRST_FLOOR),
         );
     }
 }

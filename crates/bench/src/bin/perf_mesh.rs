@@ -20,16 +20,19 @@
 //! [`THROUGHPUT_REPEATS`] timed phases, and asserts the determinism
 //! contract end to end: the same batch of mesh items produces
 //! byte-identical response transcripts on a 1-worker and a 4-worker
-//! service.
+//! service. At the fast tier the curve's total route table hits must not
+//! fall below [`FAST_ROUTE_TABLE_HITS`], a deterministic count beside the
+//! noisy cold/warm ratio.
 //!
 //! Usage: `perf_mesh [--fast] [--out PATH]`
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use grooming::algorithm::Algorithm;
 use grooming::solve::{Instance, Plan, SolveContext, Solver};
-use grooming_bench::{ms, peak_rss_mb};
+use grooming_bench::fields;
+use grooming_bench::harness::{fixed, Bound, Harness, Json};
+use grooming_bench::ms;
 use grooming_graph::generators;
 use grooming_graph::spanning::TreeStrategy;
 use grooming_graph::topology::{NodeCaps, Topology};
@@ -55,179 +58,89 @@ const FAST_COLD_OVER_WARM_FLOOR: f64 = 1.2;
 /// solves/s, so the run records the median with the lowest and highest.
 const THROUGHPUT_REPEATS: usize = 5;
 
-/// Peak-RSS ceilings per tier. Mesh state is linear in topology + demands;
-/// these match the other perf baselines' footprints.
-const FAST_RSS_CEILING_MB: f64 = 256.0;
-const FULL_RSS_CEILING_MB: f64 = 1024.0;
+/// The fast tier's floor on route table hits summed over its loading
+/// curve. Route choice is deterministic: two `perf_mesh --fast` runs of
+/// the release build at commit f66c3d0 read exactly 1,457 (per level 0, 7,
+/// 28, 66, 97, 147, 218, 253, 308, 333) both times. A table that stops
+/// hitting drops the count and trips the gate, as it would the timing
+/// floor above, without the host's noise.
+const FAST_ROUTE_TABLE_HITS: u64 = 1_457;
 
-#[derive(Clone, Copy, PartialEq)]
-enum Tier {
-    Fast,
-    Full,
-}
-
-impl Tier {
+/// Per-tier parameters of the metro mesh, its loading curve and the
+/// throughput batches.
+struct Params {
     /// Grid side length; the topology is a `side × side` metro mesh.
-    fn side(self) -> usize {
-        match self {
-            Tier::Fast => 6,
-            Tier::Full => 10,
-        }
-    }
-
-    fn k(self) -> usize {
-        match self {
-            Tier::Fast => 8,
-            Tier::Full => 16,
-        }
-    }
-
-    fn routes(self) -> usize {
-        match self {
-            Tier::Fast => 3,
-            Tier::Full => 4,
-        }
-    }
-
+    side: usize,
+    k: usize,
+    routes: usize,
     /// Per-node add/drop port budget.
-    fn ports(self) -> u32 {
-        match self {
-            Tier::Fast => 10,
-            Tier::Full => 12,
-        }
-    }
-
+    ports: u32,
     /// Per-node transit (switching) budget.
-    fn switch(self) -> u32 {
-        match self {
-            Tier::Fast => 40,
-            Tier::Full => 48,
-        }
-    }
-
-    fn base_load(self) -> usize {
-        match self {
-            Tier::Fast => 64,
-            Tier::Full => 256,
-        }
-    }
-
-    fn load_step(self) -> usize {
-        match self {
-            Tier::Fast => 32,
-            Tier::Full => 128,
-        }
-    }
-
+    switch: u32,
+    base_load: usize,
+    load_step: usize,
     /// Items per throughput batch.
-    fn batch_items(self) -> usize {
-        match self {
-            Tier::Fast => 8,
-            Tier::Full => 16,
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Tier::Fast => "fast",
-            Tier::Full => "full",
-        }
-    }
-
-    fn rss_ceiling_mb(self) -> f64 {
-        match self {
-            Tier::Fast => FAST_RSS_CEILING_MB,
-            Tier::Full => FULL_RSS_CEILING_MB,
-        }
-    }
-
-    fn cold_over_warm_floor(self) -> Option<f64> {
-        match self {
-            Tier::Fast => Some(FAST_COLD_OVER_WARM_FLOOR),
-            Tier::Full => None,
-        }
-    }
+    batch_items: usize,
 }
 
-struct Opts {
-    tier: Tier,
-    out: String,
-}
+const FAST: Params = Params {
+    side: 6,
+    k: 8,
+    routes: 3,
+    ports: 10,
+    switch: 40,
+    base_load: 64,
+    load_step: 32,
+    batch_items: 8,
+};
 
-fn parse_opts() -> Opts {
-    let mut opts = Opts {
-        tier: Tier::Full,
-        out: "results/BENCH_mesh.json".to_string(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--fast" => opts.tier = Tier::Fast,
-            "--out" => {
-                opts.out = args.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a path");
-                    std::process::exit(2);
-                })
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: perf_mesh [--fast] [--out PATH]");
-                std::process::exit(2);
-            }
-        }
-    }
-    opts
-}
+const FULL: Params = Params {
+    side: 10,
+    k: 16,
+    routes: 4,
+    ports: 12,
+    switch: 48,
+    base_load: 256,
+    load_step: 128,
+    batch_items: 16,
+};
 
 /// The pinned metro mesh: a grid with uniform finite node capacities.
-fn metro_topology(tier: Tier) -> Topology {
-    let side = tier.side();
-    let graph = generators::grid(side, side);
+fn metro_topology(p: &Params) -> Topology {
+    let graph = generators::grid(p.side, p.side);
     let n = graph.num_nodes();
     let m = graph.num_edges();
-    let caps = vec![NodeCaps::new(tier.ports(), tier.switch()); n];
+    let caps = vec![NodeCaps::new(p.ports, p.switch); n];
     Topology::new(graph, vec![1; m], caps)
 }
 
-struct Level {
-    load: usize,
-    blocked: usize,
-    rate: f64,
-    cold_ms: f64,
-    warm_ms: f64,
-    route_table_hits: u64,
-    sadms: usize,
-    lower_bound: u64,
-    max_link_load: u32,
-}
-
 fn main() {
-    let opts = parse_opts();
-    let tier = opts.tier;
-    let topology = metro_topology(tier);
+    let h = Harness::from_env("perf_mesh", "results/BENCH_mesh.json", false);
+    let p = if h.fast() { &FAST } else { &FULL };
+    let topology = metro_topology(p);
     let n = topology.num_nodes();
-    let k = tier.k();
-    let routes = tier.routes();
+    let (k, routes) = (p.k, p.routes);
     let algo = Algorithm::SpanTEulerRefined(TreeStrategy::Bfs);
 
     println!(
         "perf_mesh: tier {} ({}x{} grid, n = {n}, links = {}, k = {k}, routes = {routes}, \
          caps = {}/{} ports/switch per node)",
-        tier.name(),
-        tier.side(),
-        tier.side(),
+        h.tier.name(),
+        p.side,
+        p.side,
         topology.num_links(),
-        tier.ports(),
-        tier.switch(),
+        p.ports,
+        p.switch,
     );
 
     // Iterative loading: raise the offered load until the blocking rate
     // crosses the target. Each level draws a fresh demand set from a
     // level-pinned seed, so the curve is reproducible point by point.
-    let mut levels: Vec<Level> = Vec::new();
-    let mut load = tier.base_load();
+    let mut levels = Vec::new();
+    let (mut cold_total, mut warm_total, mut hits_total) = (0.0, 0.0, 0u64);
+    let mut load = p.base_load;
     let mut warm_workspace = Workspace::new();
-    let blocking_point = loop {
+    let (blocking_point, rate) = loop {
         let mut rng = StdRng::seed_from_u64(0x3e5 + load as u64);
         let demands = DemandSet::random(n, load, &mut rng);
         let instance = Instance::mesh(topology.clone(), demands, k, routes);
@@ -258,43 +171,38 @@ fn main() {
             unreachable!("mesh instances yield mesh plans");
         };
         let rate = blocked.len() as f64 / load as f64;
-        let stats = ctx.stats();
+        let lower_bound = ctx.stats().lower_bound;
+        let sadms = outcome.report.sadm_total;
         println!(
             "  load {load:>5}: blocked {:>4} ({:>5.2}%)  cold {cold_ms:>7.1} ms  \
              warm {warm_ms:>7.1} ms ({route_table_hits:>5} table hits)  \
-             sadms {:>5} (lb {})  max link load {max_link_load}",
+             sadms {sadms:>5} (lb {lower_bound})  max link load {max_link_load}",
             blocked.len(),
             100.0 * rate,
-            outcome.report.sadm_total,
-            stats.lower_bound,
         );
-        levels.push(Level {
-            load,
-            blocked: blocked.len(),
-            rate,
-            cold_ms,
-            warm_ms,
-            route_table_hits,
-            sadms: outcome.report.sadm_total,
-            lower_bound: stats.lower_bound,
-            max_link_load,
-        });
+        levels.push(Json::Obj(fields![
+            "load" => load, "blocked" => blocked.len(), "blocking_rate" => fixed(rate, 4),
+            "cold_ms" => fixed(cold_ms, 1), "warm_ms" => fixed(warm_ms, 1),
+            "route_table_hits" => route_table_hits, "sadms" => sadms,
+            "lower_bound" => lower_bound, "max_link_load" => max_link_load,
+        ]));
+        cold_total += cold_ms;
+        warm_total += warm_ms;
+        hits_total += route_table_hits;
         if rate >= BLOCKING_TARGET {
-            break load;
+            break (load, rate);
         }
         assert!(
             levels.len() < 64,
             "no blocking point within 64 load levels — caps are effectively unlimited"
         );
-        load += tier.load_step();
+        load += p.load_step;
     };
     println!(
         "  blocking point: {blocking_point} demands ({:.2}% blocked)",
-        100.0 * levels.last().expect("at least one level").rate
+        100.0 * rate
     );
-    let cold_total: f64 = levels.iter().map(|l| l.cold_ms).sum();
-    let warm_total: f64 = levels.iter().map(|l| l.warm_ms).sum();
-    let cold_over_warm = cold_total / warm_total.max(1e-9);
+    let cold_over_warm = cold_total / f64::max(warm_total, 1e-9);
     println!(
         "  route table: cold {cold_total:.1} ms vs warm {warm_total:.1} ms over the curve \
          -> {cold_over_warm:.2}x (plans byte-identical)"
@@ -303,8 +211,8 @@ fn main() {
     // Throughput: repeated batches of distinct mesh items through the
     // service with the cache off, so every item pays the full routing +
     // grooming + repair pipeline.
-    let throughput_load = tier.base_load();
-    let batch_items = tier.batch_items();
+    let throughput_load = p.base_load;
+    let batch_items = p.batch_items;
     let mesh_batch = |salt: u64| -> Vec<Instance> {
         (0..batch_items)
             .map(|i| {
@@ -367,70 +275,41 @@ fn main() {
     );
     println!("  transcript invariance: 1 worker == 4 workers");
 
-    let peak_mb = peak_rss_mb();
-    let ceiling = tier.rss_ceiling_mb();
-    println!("  peak RSS {peak_mb:.1} MiB (ceiling {ceiling:.0} MiB)");
+    let rss = h.rss();
 
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\n  \"bench\": \"perf_mesh\",\n  \"tier\": \"{}\",\n  \"n\": {n},\n  \
-         \"links\": {},\n  \"k\": {k},\n  \"routes\": {routes},\n  \
-         \"ports_per_node\": {},\n  \"switch_per_node\": {},\n  \
-         \"blocking_target\": {BLOCKING_TARGET},\n  \"levels\": [\n",
-        tier.name(),
-        topology.num_links(),
-        tier.ports(),
-        tier.switch(),
-    );
-    for (i, l) in levels.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"load\": {}, \"blocked\": {}, \"blocking_rate\": {:.4}, \
-             \"cold_ms\": {:.1}, \"warm_ms\": {:.1}, \"route_table_hits\": {}, \
-             \"sadms\": {}, \"lower_bound\": {}, \"max_link_load\": {}}}{}",
-            l.load,
-            l.blocked,
-            l.rate,
-            l.cold_ms,
-            l.warm_ms,
-            l.route_table_hits,
-            l.sadms,
-            l.lower_bound,
-            l.max_link_load,
-            if i + 1 < levels.len() { "," } else { "" }
+    let floor = h.fast().then_some(FAST_COLD_OVER_WARM_FLOOR);
+    let mut doc = fields![
+        "tier" => h.tier.name(),
+        "n" => n,
+        "links" => topology.num_links(),
+        "k" => k,
+        "routes" => routes,
+        "ports_per_node" => p.ports,
+        "switch_per_node" => p.switch,
+        "blocking_target" => Json::raw(BLOCKING_TARGET),
+        "levels" => Json::Rows(levels),
+        "blocking_point_load" => blocking_point,
+        "cold_over_warm" => fixed(cold_over_warm, 2),
+        "cold_over_warm_floor" => floor.map(Json::raw),
+        "solves_per_sec" => fixed(solves_per_sec, 1),
+        "solves_per_sec_min" => fixed(solves_per_sec_min, 1),
+        "solves_per_sec_max" => fixed(solves_per_sec_max, 1),
+        "transcript_invariant" => true,
+    ];
+    doc.extend(rss.fields());
+    h.write(doc);
+
+    h.check_rss(&rss);
+    if let Some(floor) = floor {
+        h.check(
+            "cold/warm curve time",
+            cold_over_warm,
+            Bound::AtLeast(floor),
         );
-    }
-    let _ = write!(
-        json,
-        "  ],\n  \"blocking_point_load\": {blocking_point},\n  \
-         \"cold_over_warm\": {cold_over_warm:.2},\n  \
-         \"cold_over_warm_floor\": {},\n  \
-         \"solves_per_sec\": {solves_per_sec:.1},\n  \
-         \"solves_per_sec_min\": {solves_per_sec_min:.1},\n  \
-         \"solves_per_sec_max\": {solves_per_sec_max:.1},\n  \
-         \"transcript_invariant\": true,\n  \
-         \"peak_rss_mb\": {peak_mb:.1},\n  \"rss_ceiling_mb\": {ceiling:.0}\n}}\n",
-        tier.cold_over_warm_floor()
-            .map_or("null".to_string(), |f| f.to_string()),
-    );
-    std::fs::write(&opts.out, json).unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", opts.out);
-        std::process::exit(1);
-    });
-    println!("baseline written to {}", opts.out);
-
-    assert!(
-        peak_mb < ceiling,
-        "peak RSS {peak_mb:.1} MiB breached the {} tier's ceiling of {ceiling:.0} MiB",
-        tier.name()
-    );
-    if let Some(floor) = tier.cold_over_warm_floor() {
-        assert!(
-            cold_over_warm >= floor,
-            "warm route tables solved the curve only {cold_over_warm:.2}x faster than cold \
-             ones (the {} tier's floor is {floor}x)",
-            tier.name()
+        h.check(
+            "route table hits over the curve",
+            hits_total as f64,
+            Bound::AtLeast(FAST_ROUTE_TABLE_HITS as f64),
         );
     }
 }

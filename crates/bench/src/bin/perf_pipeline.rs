@@ -15,10 +15,10 @@
 //!
 //! Usage: `perf_pipeline [--fast] [--out PATH]`
 
-use std::fmt::Write as _;
-
 use grooming::partition::EdgePartition;
 use grooming::{baselines, regular_euler, spant_euler};
+use grooming_bench::fields;
+use grooming_bench::harness::{fixed, Bound, Harness, Json};
 use grooming_bench::{time_best, workload::Workload};
 use grooming_graph::graph::Graph;
 use grooming_graph::spanning::TreeStrategy;
@@ -28,36 +28,6 @@ use rand::SeedableRng;
 
 /// End-to-end speedup floor asserted by the full (non-`--fast`) run.
 const SPEEDUP_FLOOR: f64 = 1.5;
-
-struct Opts {
-    fast: bool,
-    out: String,
-}
-
-fn parse_opts() -> Opts {
-    let mut opts = Opts {
-        fast: false,
-        out: "results/BENCH_pipeline.json".to_string(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--fast" => opts.fast = true,
-            "--out" => {
-                opts.out = args.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a path");
-                    std::process::exit(2);
-                })
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: perf_pipeline [--fast] [--out PATH]");
-                std::process::exit(2);
-            }
-        }
-    }
-    opts
-}
 
 /// One sweep cell: a pinned instance, a grooming factor, and the RNG seed
 /// both paths start from.
@@ -142,9 +112,9 @@ fn run_stage(
 }
 
 fn main() {
-    let opts = parse_opts();
-    let reps = if opts.fast { 1 } else { 3 };
-    let (ks, seeds): (&[usize], usize) = if opts.fast {
+    let h = Harness::from_env("perf_pipeline", "results/BENCH_pipeline.json", false);
+    let reps = if h.fast() { 1 } else { 3 };
+    let (ks, seeds): (&[usize], usize) = if h.fast() {
         (&[4, 16, 64], 3)
     } else {
         (&[2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64], 20)
@@ -250,41 +220,33 @@ fn main() {
         "pipeline", pipe_ref, pipe_new, pipe_speedup
     );
 
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\n  \"bench\": \"perf_pipeline\",\n  \"fast\": {},\n  \"reps\": {reps},\n  \"grid\": {{\"n\": 36, \"ds\": [0.3, 0.5, 0.7], \"rs\": [7, 8, 15, 16], \"ks\": {ks:?}, \"seeds\": {seeds}}},\n  \"stages\": [\n",
-        opts.fast
-    );
-    for (i, s) in stages.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"stage\": \"{}\", \"cells\": {}, \"ref_ms\": {:.3}, \"new_ms\": {:.3}, \"speedup\": {:.2}, \"total_cost\": {}, \"identical\": true}}{}",
-            s.stage,
-            s.cells,
-            s.ref_ms,
-            s.new_ms,
-            s.speedup(),
-            s.cost,
-            if i + 1 < stages.len() { "," } else { "" }
-        );
-    }
-    let _ = write!(
-        json,
-        "  ],\n  \"pipeline\": {{\"ref_ms\": {:.3}, \"new_ms\": {:.3}, \"speedup\": {:.2}}}\n}}\n",
-        pipe_ref, pipe_new, pipe_speedup
-    );
-    std::fs::write(&opts.out, json).unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", opts.out);
-        std::process::exit(1);
+    let stage_rows = stages.iter().map(|s| {
+        Json::Obj(fields![
+            "stage" => s.stage, "cells" => s.cells, "ref_ms" => fixed(s.ref_ms, 3),
+            "new_ms" => fixed(s.new_ms, 3), "speedup" => fixed(s.speedup(), 2),
+            "total_cost" => s.cost, "identical" => true,
+        ])
     });
-    println!("baseline written to {}", opts.out);
+    h.write(fields![
+        "fast" => h.fast(),
+        "reps" => reps,
+        "grid" => Json::Obj(fields![
+            "n" => 36usize, "ds" => Json::raw(format!("{dense_ds:?}")),
+            "rs" => Json::raw(format!("{regular_rs:?}")), "ks" => Json::raw(format!("{ks:?}")),
+            "seeds" => seeds,
+        ]),
+        "stages" => Json::Rows(stage_rows.collect()),
+        "pipeline" => Json::Obj(fields![
+            "ref_ms" => fixed(pipe_ref, 3), "new_ms" => fixed(pipe_new, 3),
+            "speedup" => fixed(pipe_speedup, 2),
+        ]),
+    ]);
 
-    if !opts.fast {
-        assert!(
-            pipe_speedup >= SPEEDUP_FLOOR,
-            "end-to-end pipeline speedup {pipe_speedup:.2}x fell below the \
-             tracked floor of {SPEEDUP_FLOOR}x"
+    if !h.fast() {
+        h.check(
+            "end-to-end pipeline speedup",
+            pipe_speedup,
+            Bound::AtLeast(SPEEDUP_FLOOR),
         );
     }
 }

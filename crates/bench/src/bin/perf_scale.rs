@@ -12,14 +12,18 @@
 //!   forced-dense refine (on a comparison cell small enough for the dense
 //!   `W x n` incidence matrix to exist at all);
 //! * **memory floor** — peak RSS must stay under the tier's documented
-//!   ceiling ([`FAST_RSS_CEILING_MB`] / [`FULL_RSS_CEILING_MB`]). The full
-//!   tier (`n = 100_000`, `m ≈ 300_000`, `k = 16`) is the teeth: a dense
-//!   incidence matrix alone would need `W x n x 2 B ≈ 3.75 GB` there, so
-//!   the 1 GiB ceiling is only reachable through the sparse path;
+//!   ceiling ([`Tier::rss_ceiling_mb`]: 256 MiB fast, 1 GiB full, 8 GiB
+//!   huge). The full tier (`n = 100_000`, `m ≈ 300_000`, `k = 16`) is the
+//!   teeth: a dense incidence matrix alone would need
+//!   `W x n x 2 B ≈ 3.75 GB` there, so the 1 GiB ceiling is only reachable
+//!   through the sparse path;
 //! * **hub tail** — at the full tier, power-law refine must take at most
 //!   [`POWER_LAW_REFINE_MAX_RATIO`] times gnm's: the sweep skips the swap
 //!   pairs that provably miss, so Chung–Lu hubs no longer multiply the
 //!   scan;
+//! * **work** — at the fast tier, each family's `swaps_evaluated` must not
+//!   rise above [`FAST_SWAPS_EVALUATED`], a deterministic count beside the
+//!   noisy wall clock;
 //! * **smoke** — `ci.sh` runs `--fast` (`n = 10_000`) on every gate.
 //!
 //! The tier above — `--huge`, `n = 1_000_000`, `m ≈ 3_000_000` — is the
@@ -29,33 +33,19 @@
 //!
 //! Usage: `perf_scale [--fast | --huge] [--out PATH]`
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use grooming::algorithm::Algorithm;
 use grooming::improve;
 use grooming::solve::{Instance, SolveContext, Solver};
-use grooming_bench::{ms, peak_rss_mb};
+use grooming_bench::fields;
+use grooming_bench::harness::{fixed, Bound, Harness, Json, Tier};
+use grooming_bench::ms;
 use grooming_graph::generators;
 use grooming_graph::graph::Graph;
 use grooming_graph::spanning::TreeStrategy;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Peak-RSS ceiling for the `--fast` tier (`n = 10_000`), asserted on
-/// every run. Generous headroom over the observed footprint so allocator
-/// noise cannot flake CI, but far below what a dense incidence matrix at
-/// the comparison size would tolerate being leaked repeatedly.
-const FAST_RSS_CEILING_MB: f64 = 256.0;
-
-/// Peak-RSS ceiling for the full tier (`n = 100_000`): the documented
-/// memory floor of the scale tier. Dense incidence at this size is ~3.75 GB,
-/// so staying under 1 GiB proves the sparse path carried the solve.
-const FULL_RSS_CEILING_MB: f64 = 1024.0;
-
-/// Peak-RSS ceiling for the `--huge` tier (`n = 1_000_000`): linear-memory
-/// headroom at 10x the full tier.
-const HUGE_RSS_CEILING_MB: f64 = 8192.0;
 
 /// Refinement rounds per instance — enough for the swap sweep to do real
 /// work without dominating the construction stages at the huge tier.
@@ -66,69 +56,13 @@ const REFINE_ROUNDS: usize = 2;
 /// filters); 4× leaves room for that host's run-to-run swings.
 const POWER_LAW_REFINE_MAX_RATIO: f64 = 4.0;
 
-#[derive(Clone, Copy, PartialEq)]
-enum Tier {
-    Fast,
-    Full,
-    Huge,
-}
-
-impl Tier {
-    fn n(self) -> usize {
-        match self {
-            Tier::Fast => 10_000,
-            Tier::Full => 100_000,
-            Tier::Huge => 1_000_000,
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Tier::Fast => "fast",
-            Tier::Full => "full",
-            Tier::Huge => "huge",
-        }
-    }
-
-    fn rss_ceiling_mb(self) -> f64 {
-        match self {
-            Tier::Fast => FAST_RSS_CEILING_MB,
-            Tier::Full => FULL_RSS_CEILING_MB,
-            Tier::Huge => HUGE_RSS_CEILING_MB,
-        }
-    }
-}
-
-struct Opts {
-    tier: Tier,
-    out: String,
-}
-
-fn parse_opts() -> Opts {
-    let mut opts = Opts {
-        tier: Tier::Full,
-        out: "results/BENCH_scale.json".to_string(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--fast" => opts.tier = Tier::Fast,
-            "--huge" => opts.tier = Tier::Huge,
-            "--out" => {
-                opts.out = args.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a path");
-                    std::process::exit(2);
-                })
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: perf_scale [--fast | --huge] [--out PATH]");
-                std::process::exit(2);
-            }
-        }
-    }
-    opts
-}
+/// Fast-tier ceilings on each family's `swaps_evaluated`, in `run_family`
+/// order (gnm, power_law, random_geometric). The sweep is deterministic:
+/// two `perf_scale --fast` runs of the release build at commit f66c3d0
+/// read exactly these counts both times. A sweep that stops skipping the
+/// pairs that provably miss evaluates more swaps and trips the gate; a
+/// change that lowers a count should lower its pin too.
+const FAST_SWAPS_EVALUATED: [u64; 3] = [437_621, 961_682, 118_269];
 
 struct FamilyResult {
     family: &'static str,
@@ -217,9 +151,12 @@ fn incidence_identity(n: usize, m: usize, k: usize) -> (f64, f64) {
 }
 
 fn main() {
-    let opts = parse_opts();
-    let tier = opts.tier;
-    let n = tier.n();
+    let h = Harness::from_env("perf_scale", "results/BENCH_scale.json", true);
+    let n = match h.tier {
+        Tier::Fast => 10_000,
+        Tier::Full => 100_000,
+        Tier::Huge => 1_000_000,
+    };
     let k = 16usize;
     let m_gnm = 3 * n;
     // Target average degree 6 for the implicit-m families, matching gnm's
@@ -227,7 +164,7 @@ fn main() {
     let avg_degree = 6.0f64;
     let radius = (avg_degree / (std::f64::consts::PI * n as f64)).sqrt();
 
-    println!("perf_scale: tier {} (n = {n}, k = {k})", tier.name());
+    println!("perf_scale: tier {} (n = {n}, k = {k})", h.tier.name());
     let families = vec![
         run_family("gnm", n, k, |rng| generators::gnm(n, m_gnm, rng)),
         run_family("power_law", n, k, |rng| {
@@ -248,66 +185,52 @@ fn main() {
 
     // Identity cell: a fixed mid-size instance regardless of tier, so the
     // contract runs (and the dense matrix fits) even in --fast.
-    let (sparse_ms, dense_ms) = incidence_identity(4_096, 40_960, k);
+    let (id_n, id_m) = (4_096usize, 40_960usize);
+    let (sparse_ms, dense_ms) = incidence_identity(id_n, id_m, k);
     println!("  incidence identity ok (sparse {sparse_ms:.1} ms, dense {dense_ms:.1} ms)");
 
-    let peak_mb = peak_rss_mb();
-    let ceiling = tier.rss_ceiling_mb();
-    println!("  peak RSS {peak_mb:.1} MiB (ceiling {ceiling:.0} MiB)");
+    let rss = h.rss();
 
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\n  \"bench\": \"perf_scale\",\n  \"tier\": \"{}\",\n  \"k\": {k},\n  \"families\": [\n",
-        tier.name()
-    );
-    for (i, f) in families.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"family\": \"{}\", \"n\": {}, \"m\": {}, \"k\": {}, \
-             \"generate_ms\": {:.1}, \"construct_ms\": {:.1}, \"refine_ms\": {:.1}, \
-             \"swaps_evaluated\": {}, \"cost_constructed\": {}, \"cost_refined\": {}, \
-             \"wavelengths\": {}}}{}",
-            f.family,
-            f.n,
-            f.m,
-            f.k,
-            f.generate_ms,
-            f.construct_ms,
-            f.refine_ms,
-            f.swaps_evaluated,
-            f.cost_constructed,
-            f.cost_refined,
-            f.wavelengths,
-            if i + 1 < families.len() { "," } else { "" }
-        );
-    }
-    let _ = write!(
-        json,
-        "  ],\n  \"incidence_identity\": {{\"n\": 4096, \"m\": 40960, \
-         \"sparse_ms\": {sparse_ms:.1}, \"dense_ms\": {dense_ms:.1}, \"identical\": true}},\n  \
-         \"peak_rss_mb\": {peak_mb:.1},\n  \"rss_ceiling_mb\": {ceiling:.0}\n}}\n"
-    );
-    std::fs::write(&opts.out, json).unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", opts.out);
-        std::process::exit(1);
+    let family_rows = families.iter().map(|f| {
+        Json::Obj(fields![
+            "family" => f.family, "n" => f.n, "m" => f.m, "k" => f.k,
+            "generate_ms" => fixed(f.generate_ms, 1), "construct_ms" => fixed(f.construct_ms, 1),
+            "refine_ms" => fixed(f.refine_ms, 1), "swaps_evaluated" => f.swaps_evaluated,
+            "cost_constructed" => f.cost_constructed, "cost_refined" => f.cost_refined,
+            "wavelengths" => f.wavelengths,
+        ])
     });
-    println!("baseline written to {}", opts.out);
+    let mut doc = fields![
+        "tier" => h.tier.name(),
+        "k" => k,
+        "families" => Json::Rows(family_rows.collect()),
+        "incidence_identity" => Json::Obj(fields![
+            "n" => id_n, "m" => id_m, "sparse_ms" => fixed(sparse_ms, 1),
+            "dense_ms" => fixed(dense_ms, 1), "identical" => true,
+        ]),
+    ];
+    doc.extend(rss.fields());
+    h.write(doc);
 
-    assert!(
-        peak_mb < ceiling,
-        "peak RSS {peak_mb:.1} MiB breached the {} tier's documented \
-         ceiling of {ceiling:.0} MiB — the sparse path regressed",
-        tier.name()
-    );
+    h.check_rss(&rss);
+    if h.fast() {
+        for (f, pinned) in families.iter().zip(FAST_SWAPS_EVALUATED) {
+            let name = format!("{} swaps_evaluated", f.family);
+            h.check(
+                &name,
+                f.swaps_evaluated as f64,
+                Bound::AtMost(pinned as f64),
+            );
+        }
+    }
     // families[0] is gnm, families[1] power_law.
     let ratio = families[1].refine_ms / families[0].refine_ms;
     println!("  power_law / gnm refine time {ratio:.1}x");
-    if tier == Tier::Full {
-        assert!(
-            ratio <= POWER_LAW_REFINE_MAX_RATIO,
-            "power_law refine took {ratio:.1}x gnm's, above the \
-             {POWER_LAW_REFINE_MAX_RATIO:.0}x ceiling — the sweep's miss filters regressed"
+    if h.tier == Tier::Full {
+        h.check(
+            "power_law / gnm refine time",
+            ratio,
+            Bound::AtMost(POWER_LAW_REFINE_MAX_RATIO),
         );
     }
 }

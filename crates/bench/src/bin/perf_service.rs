@@ -28,12 +28,13 @@
 //!
 //! Usage: `perf_service [--fast] [--out PATH]`
 
-use std::fmt::Write as _;
 use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Instant;
 
 use grooming::solve::Instance;
+use grooming_bench::fields;
+use grooming_bench::harness::{fixed, Bound, Harness, Json};
 use grooming_graph::generators;
 use grooming_graph::ids::NodeId;
 use grooming_service::cache::{fnv1a64, FNV1A64_BASIS};
@@ -52,36 +53,6 @@ const PING_MEASURED: usize = 500;
 /// The `PING` round-trip p50 must stay below this. A front end that
 /// sleeps on a timer when idle pays that timer here (2 ms per sleep).
 const PING_P50_CEILING_US: u64 = 500;
-
-struct Opts {
-    fast: bool,
-    out: String,
-}
-
-fn parse_opts() -> Opts {
-    let mut opts = Opts {
-        fast: false,
-        out: "results/BENCH_groomd.json".to_string(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--fast" => opts.fast = true,
-            "--out" => {
-                opts.out = args.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a path");
-                    std::process::exit(2);
-                })
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: perf_service [--fast] [--out PATH]");
-                std::process::exit(2);
-            }
-        }
-    }
-    opts
-}
 
 /// FNV-1a 64 over a transcript, hex-encoded — the digest the determinism
 /// phase compares and records.
@@ -267,21 +238,21 @@ fn ping_round_trips(conn: &mut Conn) -> (u64, u64) {
 }
 
 fn main() {
-    let opts = parse_opts();
-    let (corpus_batches, max_burst) = if opts.fast { (4, 16) } else { (12, 128) };
+    let h = Harness::from_env("perf_service", "results/BENCH_groomd.json", false);
+    let (corpus_batches, max_burst) = if h.fast() { (4, 16) } else { (12, 128) };
     let requests = corpus(corpus_batches, 0x9E37);
     let corpus_items: usize = requests.iter().map(|r| r.items.len()).sum();
 
     // Phase 1: the determinism digest across worker counts and cache
     // state. Serial round trips, so queue pressure never enters.
     println!("perf_service: determinism corpus = {corpus_batches} batches / {corpus_items} items");
-    let mut digests: Vec<(String, String)> = Vec::new();
+    let mut digests: Vec<(&'static str, String)> = Vec::new();
     for (label, workers, cache) in [("workers1", 1, 0), ("workers4", 4, 0)] {
         let groomd = Groomd::start(workers, cache, 256, 1 << 22);
         let mut conn = groomd.connect();
         let transcript = serve_corpus(&mut conn, &requests);
         groomd.stop();
-        digests.push((label.to_string(), digest(&transcript)));
+        digests.push((label, digest(&transcript)));
     }
     let (cache_hits, warm_digest, cold_digest) = {
         let groomd = Groomd::start(4, 1024, 256, 1 << 22);
@@ -294,8 +265,8 @@ fn main() {
         groomd.stop();
         (hits, digest(&warm), digest(&cold))
     };
-    digests.push(("cache_cold".to_string(), cold_digest));
-    digests.push(("cache_warm".to_string(), warm_digest));
+    digests.push(("cache_cold", cold_digest));
+    digests.push(("cache_warm", warm_digest));
     for (label, d) in &digests {
         println!("  transcript digest [{label:<10}] {d}");
         assert_eq!(
@@ -312,7 +283,7 @@ fn main() {
 
     // Phase 2: ramp pipelined bursts at a small queue until admissions
     // bounce. Cache off so every accepted item costs a real solve.
-    let groomd = Groomd::start(if opts.fast { 2 } else { 4 }, 0, 8, 1 << 22);
+    let groomd = Groomd::start(if h.fast() { 2 } else { 4 }, 0, 8, 1 << 22);
     let mut conn = groomd.connect();
     let mut rounds: Vec<RampRound> = Vec::new();
     let mut offered = 2usize;
@@ -363,7 +334,7 @@ fn main() {
         qwait_p50,
         qwait_p99
     );
-    if !opts.fast {
+    if !h.fast() {
         assert!(
             last.rejected > 0,
             "the full ramp must reach the blocking point (no rejection seen \
@@ -371,53 +342,36 @@ fn main() {
         );
     }
 
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\n  \"bench\": \"perf_service\",\n  \"fast\": {},\n  \
-         \"corpus\": {{\"batches\": {corpus_batches}, \"items\": {corpus_items}}},\n  \
-         \"determinism\": {{",
-        opts.fast
-    );
-    for (label, d) in &digests {
-        let _ = write!(json, "\"{label}\": \"{d}\", ");
-    }
-    let _ = write!(
-        json,
-        "\"identical\": true, \"cache_hits\": {cache_hits}}},\n  \"ramp\": [\n"
-    );
-    for (i, r) in rounds.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"offered_batches\": {}, \"accepted_items\": {}, \"rejected_requests\": {}, \
-             \"solves_per_sec\": {:.1}}}{}",
-            r.offered,
-            r.accepted_items,
-            r.rejected,
-            r.solves_per_sec(),
-            if i + 1 < rounds.len() { "," } else { "" }
-        );
-    }
-    let _ = write!(
-        json,
-        "  ],\n  \"blocking\": {{\"offered_batches\": {}, \"rejected_requests\": {}, \
-         \"blocking_rate\": {:.3}, \"sustained_solves_per_sec\": {:.1}}},\n  \
-         \"queue_wait_us\": {{\"p50\": {qwait_p50}, \"p99\": {qwait_p99}}},\n  \
-         \"solve_time_us\": {{\"p50\": {solve_p50}, \"p99\": {solve_p99}}},\n  \
-         \"round_trip_us\": {{\"p50\": {ping_p50}, \"p99\": {ping_p99}}}\n}}\n",
-        last.offered,
-        last.rejected,
-        last.blocking_rate(),
-        last.solves_per_sec()
-    );
-    std::fs::write(&opts.out, json).unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", opts.out);
-        std::process::exit(1);
+    let mut determinism: Vec<(&'static str, Json)> = digests
+        .iter()
+        .map(|(label, d)| (*label, Json::from(d.as_str())))
+        .collect();
+    determinism.extend(fields!["identical" => true, "cache_hits" => cache_hits]);
+    let ramp = rounds.iter().map(|r| {
+        Json::Obj(fields![
+            "offered_batches" => r.offered, "accepted_items" => r.accepted_items,
+            "rejected_requests" => r.rejected, "solves_per_sec" => fixed(r.solves_per_sec(), 1),
+        ])
     });
-    println!("baseline written to {}", opts.out);
+    let percentiles = |p50: u64, p99: u64| Json::Obj(fields!["p50" => p50, "p99" => p99]);
+    h.write(fields![
+        "fast" => h.fast(),
+        "corpus" => Json::Obj(fields!["batches" => corpus_batches, "items" => corpus_items]),
+        "determinism" => Json::Obj(determinism),
+        "ramp" => Json::Rows(ramp.collect()),
+        "blocking" => Json::Obj(fields![
+            "offered_batches" => last.offered, "rejected_requests" => last.rejected,
+            "blocking_rate" => fixed(last.blocking_rate(), 3),
+            "sustained_solves_per_sec" => fixed(last.solves_per_sec(), 1),
+        ]),
+        "queue_wait_us" => percentiles(qwait_p50, qwait_p99),
+        "solve_time_us" => percentiles(solve_p50, solve_p99),
+        "round_trip_us" => percentiles(ping_p50, ping_p99),
+    ]);
 
-    assert!(
-        ping_p50 < PING_P50_CEILING_US,
-        "PING round-trip p50 {ping_p50}us reached the {PING_P50_CEILING_US}us ceiling"
+    h.check(
+        "PING round-trip p50 us",
+        ping_p50 as f64,
+        Bound::Below(PING_P50_CEILING_US as f64),
     );
 }

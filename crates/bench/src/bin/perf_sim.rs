@@ -18,128 +18,56 @@
 //!
 //! Usage: `perf_sim [--fast] [--out PATH]`
 
-use std::fmt::Write as _;
 use std::net::TcpListener;
 use std::time::Instant;
 
-use grooming_bench::peak_rss_mb;
+use grooming_bench::fields;
+use grooming_bench::harness::{fixed, Harness, Json};
 use grooming_service::{tcp, Service, ServiceConfig};
 use grooming_sim::{
     assert_soak_matches, blocking_point, run, run_recording, run_with_streams, Scenario,
     BLOCKING_TARGET,
 };
 
-/// Peak-RSS ceilings per tier: sim state is a demand snapshot plus a
-/// partition — tiny next to the scale tiers, same ceilings for
-/// consistency with `perf_scale`/`perf_churn`.
-const FAST_RSS_CEILING_MB: f64 = 256.0;
-const FULL_RSS_CEILING_MB: f64 = 1024.0;
-
-#[derive(Clone, Copy, PartialEq)]
-enum Tier {
-    Fast,
-    Full,
-}
-
-impl Tier {
+/// Per-tier sizes of the sweep cells and the soak.
+struct Params {
     /// Ring size for the ring family.
-    fn ring_n(self) -> usize {
-        match self {
-            Tier::Fast => 8,
-            Tier::Full => 16,
-        }
-    }
-
+    ring_n: usize,
     /// Grid side for the mesh family.
-    fn mesh_side(self) -> usize {
-        match self {
-            Tier::Fast => 3,
-            Tier::Full => 4,
-        }
-    }
-
-    fn k(self) -> usize {
-        match self {
-            Tier::Fast => 4,
-            Tier::Full => 8,
-        }
-    }
-
+    mesh_side: usize,
+    k: usize,
     /// Virtual-time horizon per simulation, in ticks.
-    fn horizon(self) -> u64 {
-        match self {
-            Tier::Fast => 20_000,
-            Tier::Full => 120_000,
-        }
-    }
-
+    horizon: u64,
     /// Bisection refinements per sweep cell.
-    fn iterations(self) -> usize {
-        match self {
-            Tier::Fast => 4,
-            Tier::Full => 8,
-        }
-    }
-
+    iterations: usize,
     /// Virtual-time horizon of the soak recording (kept short: every
     /// epoch becomes one TCP request).
-    fn soak_horizon(self) -> u64 {
-        match self {
-            Tier::Fast => 8_000,
-            Tier::Full => 30_000,
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Tier::Fast => "fast",
-            Tier::Full => "full",
-        }
-    }
-
-    fn rss_ceiling_mb(self) -> f64 {
-        match self {
-            Tier::Fast => FAST_RSS_CEILING_MB,
-            Tier::Full => FULL_RSS_CEILING_MB,
-        }
-    }
+    soak_horizon: u64,
 }
 
-struct Opts {
-    tier: Tier,
-    out: String,
-}
+const FAST: Params = Params {
+    ring_n: 8,
+    mesh_side: 3,
+    k: 4,
+    horizon: 20_000,
+    iterations: 4,
+    soak_horizon: 8_000,
+};
 
-fn parse_opts() -> Opts {
-    let mut opts = Opts {
-        tier: Tier::Full,
-        out: "results/BENCH_sim.json".to_string(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--fast" => opts.tier = Tier::Fast,
-            "--out" => {
-                opts.out = args.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a path");
-                    std::process::exit(2);
-                })
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: perf_sim [--fast] [--out PATH]");
-                std::process::exit(2);
-            }
-        }
-    }
-    opts
-}
+const FULL: Params = Params {
+    ring_n: 16,
+    mesh_side: 4,
+    k: 8,
+    horizon: 120_000,
+    iterations: 8,
+    soak_horizon: 30_000,
+};
 
 /// One sweep cell's scenario at unit offered load (the sweep rescales).
-fn cell_scenario(tier: Tier, family: &str, budget: Option<usize>) -> Scenario {
+fn cell_scenario(p: &Params, family: &str, budget: Option<usize>) -> Scenario {
     let mut scenario = match family {
-        "ring" => Scenario::ring(tier.ring_n(), tier.k()),
-        "mesh" => Scenario::mesh(tier.mesh_side(), tier.k()),
+        "ring" => Scenario::ring(p.ring_n, p.k),
+        "mesh" => Scenario::mesh(p.mesh_side, p.k),
         other => unreachable!("unknown family {other}"),
     };
     // A binding wavelength budget: roughly half the node count keeps the
@@ -153,46 +81,31 @@ fn cell_scenario(tier: Tier, family: &str, budget: Option<usize>) -> Scenario {
         scenario.link_capacity = Some(scenario.k as u32);
     }
     scenario.rearrange_budget = budget;
-    scenario.horizon = tier.horizon();
+    scenario.horizon = p.horizon;
     scenario
 }
 
-struct Cell {
-    family: &'static str,
-    budget: Option<usize>,
-    erlangs: f64,
-    blocking: f64,
-    carried_erlangs: f64,
-    churn_per_erlang: f64,
-    blocked_links: u64,
-    epochs: u64,
-    reconfigures_per_sec: f64,
-    latency_p50_us: u128,
-    latency_p99_us: u128,
-    evaluations: usize,
-}
-
 fn main() {
-    let opts = parse_opts();
-    let tier = opts.tier;
+    let h = Harness::from_env("perf_sim", "results/BENCH_sim.json", false);
+    let p = if h.fast() { &FAST } else { &FULL };
     println!(
         "perf_sim: tier {} (ring n = {}, mesh {}x{} grid, k = {}, horizon = {} ticks)",
-        tier.name(),
-        tier.ring_n(),
-        tier.mesh_side(),
-        tier.mesh_side(),
-        tier.k(),
-        tier.horizon(),
+        h.tier.name(),
+        p.ring_n,
+        p.mesh_side,
+        p.mesh_side,
+        p.k,
+        p.horizon,
     );
 
     // Sweep every (family, k, budget) cell to the 1% blocking point, then
     // re-run the blocking-point scenario timed for throughput and latency.
     let budgets: [Option<usize>; 2] = [Some(4), None];
-    let mut cells: Vec<Cell> = Vec::new();
+    let mut cells = Vec::new();
     for family in ["ring", "mesh"] {
         for budget in budgets {
-            let scenario = cell_scenario(tier, family, budget);
-            let sweep = blocking_point(&scenario, BLOCKING_TARGET, tier.iterations());
+            let scenario = cell_scenario(p, family, budget);
+            let sweep = blocking_point(&scenario, BLOCKING_TARGET, p.iterations);
             let point = scenario.clone().with_offered_erlangs(sweep.erlangs);
             let t = Instant::now();
             let out = run(&point);
@@ -202,52 +115,49 @@ fn main() {
                 "re-running the blocking-point scenario must reproduce the sweep's report"
             );
             let r = &out.report;
-            let cell = Cell {
-                family,
-                budget,
-                erlangs: sweep.erlangs,
-                blocking: r.blocking_probability,
-                carried_erlangs: r.carried_erlangs,
-                churn_per_erlang: r.churn_per_erlang(),
-                blocked_links: r.blocked_links,
-                epochs: r.epochs,
-                reconfigures_per_sec: r.epochs as f64 / elapsed_s.max(1e-9),
-                latency_p50_us: out.latency.percentile(0.5).as_micros(),
-                latency_p99_us: out.latency.percentile(0.99).as_micros(),
-                evaluations: sweep.evaluations,
-            };
+            let reconfigures_per_sec = r.epochs as f64 / elapsed_s.max(1e-9);
+            let latency_p50_us = out.latency.percentile(0.5).as_micros();
+            let latency_p99_us = out.latency.percentile(0.99).as_micros();
             println!(
                 "  {family:>4} budget {:>9}: blocking point {:>8.2} Erlangs \
                  (blocking {:>5.2}%, {} on links, carried {:>7.2})  churn/Erlang {:>6.2}  \
-                 {:>6} epochs -> {:>8.0} reconf/s  p50 {} us p99 {} us  ({} sims)",
+                 {:>6} epochs -> {reconfigures_per_sec:>8.0} reconf/s  \
+                 p50 {latency_p50_us} us p99 {latency_p99_us} us  ({} sims)",
                 match budget {
                     Some(b) => format!("moved<={b}"),
                     None => "unbounded".to_string(),
                 },
-                cell.erlangs,
-                100.0 * cell.blocking,
-                cell.blocked_links,
-                cell.carried_erlangs,
-                cell.churn_per_erlang,
-                cell.epochs,
-                cell.reconfigures_per_sec,
-                cell.latency_p50_us,
-                cell.latency_p99_us,
-                cell.evaluations,
+                sweep.erlangs,
+                100.0 * r.blocking_probability,
+                r.blocked_links,
+                r.carried_erlangs,
+                r.churn_per_erlang(),
+                r.epochs,
+                sweep.evaluations,
             );
             assert!(
-                cell.blocking >= BLOCKING_TARGET,
+                r.blocking_probability >= BLOCKING_TARGET,
                 "sweep must land at or above the blocking target"
             );
-            cells.push(cell);
+            cells.push(Json::Obj(fields![
+                "family" => family, "rearrange_budget" => budget,
+                "blocking_point_erlangs" => fixed(sweep.erlangs, 3),
+                "blocking" => fixed(r.blocking_probability, 4),
+                "carried_erlangs" => fixed(r.carried_erlangs, 3),
+                "churn_per_erlang" => fixed(r.churn_per_erlang(), 3),
+                "blocked_links" => r.blocked_links, "epochs" => r.epochs,
+                "reconfigures_per_sec" => fixed(reconfigures_per_sec, 1),
+                "latency_p50_us" => latency_p50_us, "latency_p99_us" => latency_p99_us,
+                "evaluations" => sweep.evaluations,
+            ]));
         }
     }
 
     // Determinism: byte-identical traces across reruns and under
     // event-source registration reordering.
     let check = {
-        let mut s = cell_scenario(tier, "ring", Some(4));
-        s.horizon = tier.soak_horizon();
+        let mut s = cell_scenario(p, "ring", Some(4));
+        s.horizon = p.soak_horizon;
         s
     };
     let a = run(&check);
@@ -291,70 +201,25 @@ fn main() {
         soak.epochs, soak.transcript_bytes
     );
 
-    let peak_mb = peak_rss_mb();
-    let ceiling = tier.rss_ceiling_mb();
-    println!("  peak RSS {peak_mb:.1} MiB (ceiling {ceiling:.0} MiB)");
+    let rss = h.rss();
 
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\n  \"bench\": \"perf_sim\",\n  \"tier\": \"{}\",\n  \
-         \"ring_n\": {},\n  \"mesh_side\": {},\n  \"k\": {},\n  \
-         \"horizon_ticks\": {},\n  \"blocking_target\": {BLOCKING_TARGET},\n  \
-         \"cells\": [\n",
-        tier.name(),
-        tier.ring_n(),
-        tier.mesh_side(),
-        tier.k(),
-        tier.horizon(),
-    );
-    for (i, c) in cells.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"family\": \"{}\", \"rearrange_budget\": {}, \
-             \"blocking_point_erlangs\": {:.3}, \"blocking\": {:.4}, \
-             \"carried_erlangs\": {:.3}, \"churn_per_erlang\": {:.3}, \
-             \"blocked_links\": {}, \
-             \"epochs\": {}, \"reconfigures_per_sec\": {:.1}, \
-             \"latency_p50_us\": {}, \"latency_p99_us\": {}, \
-             \"evaluations\": {}}}{}",
-            c.family,
-            match c.budget {
-                Some(b) => b.to_string(),
-                None => "null".to_string(),
-            },
-            c.erlangs,
-            c.blocking,
-            c.carried_erlangs,
-            c.churn_per_erlang,
-            c.blocked_links,
-            c.epochs,
-            c.reconfigures_per_sec,
-            c.latency_p50_us,
-            c.latency_p99_us,
-            c.evaluations,
-            if i + 1 < cells.len() { "," } else { "" }
-        );
-    }
-    let _ = write!(
-        json,
-        "  ],\n  \"determinism_rerun_identical\": true,\n  \
-         \"registration_reorder_identical\": true,\n  \
-         \"soak_epochs\": {},\n  \"soak_transcript_bytes\": {},\n  \
-         \"soak_transcript_identical\": true,\n  \
-         \"soak_epochs_per_sec\": {soak_rps:.1},\n  \
-         \"peak_rss_mb\": {peak_mb:.1},\n  \"rss_ceiling_mb\": {ceiling:.0}\n}}\n",
-        soak.epochs, soak.transcript_bytes,
-    );
-    std::fs::write(&opts.out, json).unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", opts.out);
-        std::process::exit(1);
-    });
-    println!("baseline written to {}", opts.out);
+    let mut doc = fields![
+        "tier" => h.tier.name(),
+        "ring_n" => p.ring_n,
+        "mesh_side" => p.mesh_side,
+        "k" => p.k,
+        "horizon_ticks" => p.horizon,
+        "blocking_target" => Json::raw(BLOCKING_TARGET),
+        "cells" => Json::Rows(cells),
+        "determinism_rerun_identical" => true,
+        "registration_reorder_identical" => true,
+        "soak_epochs" => soak.epochs,
+        "soak_transcript_bytes" => soak.transcript_bytes,
+        "soak_transcript_identical" => true,
+        "soak_epochs_per_sec" => fixed(soak_rps, 1),
+    ];
+    doc.extend(rss.fields());
+    h.write(doc);
 
-    assert!(
-        peak_mb < ceiling,
-        "peak RSS {peak_mb:.1} MiB breached the {} tier's ceiling of {ceiling:.0} MiB",
-        tier.name()
-    );
+    h.check_rss(&rss);
 }

@@ -9,14 +9,16 @@
 //!   results are bit-identical at any `--jobs` count);
 //! * [`table`] — fixed-width table printing shared by all binaries;
 //! * [`workload`] — the paper's instance generators with their parameters;
-//! * [`peak_rss_mb`], [`ms`] and [`time_best`] — the `perf_*` binaries'
-//!   memory and wall-clock readings.
+//! * [`harness`] — the `perf_*` binaries' flags, tiers, RSS and bound
+//!   gates, and `BENCH_*.json` writer;
+//! * [`ms`] and [`time_best`] — the `perf_*` binaries' wall-clock readings.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::time::Instant;
 
+pub mod harness;
 pub mod plot;
 pub mod sweep;
 pub mod table;
@@ -30,25 +32,6 @@ pub const PAPER_N: usize = 36;
 
 /// The grooming factors swept in the figures (the paper's x axis).
 pub const K_VALUES: [usize; 11] = [2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64];
-
-/// The process's peak resident set (`VmHWM`) in MiB — monotone over the
-/// process lifetime, so reading it once at the end captures the hungriest
-/// stage.
-pub fn peak_rss_mb() -> f64 {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: f64 = rest
-                .trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse()
-                .unwrap_or(0.0);
-            return kb / 1024.0;
-        }
-    }
-    0.0
-}
 
 /// Milliseconds elapsed since `t`.
 pub fn ms(t: Instant) -> f64 {

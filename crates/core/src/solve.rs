@@ -374,6 +374,47 @@ impl DemandDelta {
     pub fn len(&self) -> usize {
         self.added.len() + self.removed.len()
     }
+
+    /// The post-delta snapshot of `demands` under the removal rule above:
+    /// survivors in their prior order, then `added`. Also returns the
+    /// old→new edge map (`u32::MAX` for a retired edge), a monotone remap
+    /// of the surviving ids. A pair withdrawn more often than `demands`
+    /// holds it is [`SolveError::MissingDemand`], naming the first such
+    /// pair in `removed` order.
+    pub fn apply(&self, demands: &DemandSet) -> Result<(DemandSet, Vec<u32>), SolveError> {
+        let mut to_remove: HashMap<DemandPair, usize> = HashMap::new();
+        for &p in &self.removed {
+            *to_remove.entry(p).or_insert(0) += 1;
+        }
+        let mut old_to_new = vec![u32::MAX; demands.len()];
+        let mut next = DemandSet::new(demands.num_nodes());
+        for (i, &p) in demands.pairs().iter().enumerate() {
+            if let Some(c) = to_remove.get_mut(&p) {
+                if *c > 0 {
+                    *c -= 1;
+                    continue;
+                }
+            }
+            old_to_new[i] = next.len() as u32;
+            next.add(p.lo(), p.hi());
+        }
+        if demands.len() - next.len() != self.removed.len() {
+            // Over-withdrawal: report the first offending pair (deterministic
+            // scan of the delta, not of the hash map).
+            for &p in &self.removed {
+                let have = demands.pairs().iter().filter(|&&q| q == p).count();
+                let want = self.removed.iter().filter(|&&q| q == p).count();
+                if want > have {
+                    return Err(SolveError::MissingDemand { pair: p });
+                }
+            }
+            unreachable!("removal count mismatch without an over-withdrawn pair");
+        }
+        for &p in &self.added {
+            next.add(p.lo(), p.hi());
+        }
+        Ok((next, old_to_new))
+    }
 }
 
 /// Why a solve failed. One taxonomy for every workload; [`NotRegularError`]
@@ -1098,37 +1139,9 @@ fn solve_reconfigure(
         )));
     }
 
-    // Subtract the removals: each removed unit retires the earliest
-    // surviving occurrence of its pair, and survivors keep their relative
-    // order, so `old_to_new` is a monotone remap of the surviving ids.
-    let mut to_remove: HashMap<DemandPair, usize> = HashMap::new();
-    for &p in &delta.removed {
-        *to_remove.entry(p).or_insert(0) += 1;
-    }
-    let mut old_to_new = vec![u32::MAX; m_old];
-    let mut new_demands = DemandSet::new(demands.num_nodes());
-    for (i, &p) in demands.pairs().iter().enumerate() {
-        if let Some(c) = to_remove.get_mut(&p) {
-            if *c > 0 {
-                *c -= 1;
-                continue;
-            }
-        }
-        old_to_new[i] = new_demands.len() as u32;
-        new_demands.add(p.lo(), p.hi());
-    }
-    if m_old - new_demands.len() != delta.removed.len() {
-        // Over-withdrawal: report the first offending pair (deterministic
-        // scan of the delta, not of the hash map).
-        for &p in &delta.removed {
-            let have = demands.pairs().iter().filter(|&&q| q == p).count();
-            let want = delta.removed.iter().filter(|&&q| q == p).count();
-            if want > have {
-                return Err(SolveError::MissingDemand { pair: p });
-            }
-        }
-        unreachable!("removal count mismatch without an over-withdrawn pair");
-    }
+    // Apply the delta: survivors keep their relative order, so `old_to_new`
+    // is a monotone remap of the surviving ids, and additions append.
+    let (new_demands, old_to_new) = delta.apply(demands)?;
 
     // Remap the surviving placement; parts that lost edges are the
     // removal side of the dirty frontier.
@@ -1148,11 +1161,8 @@ fn solve_reconfigure(
         seed_parts.push(mapped);
     }
 
-    // Append the additions and repair.
-    let first_added = new_demands.len();
-    for &p in &delta.added {
-        new_demands.add(p.lo(), p.hi());
-    }
+    // Repair around the appended additions.
+    let first_added = new_demands.len() - delta.added.len();
     let added_ids: Vec<EdgeId> = (first_added..new_demands.len()).map(EdgeId::new).collect();
     let g = new_demands.to_traffic_graph();
     ctx.stats.lower_bound += crate::bounds::lower_bound(&g, k) as u64;

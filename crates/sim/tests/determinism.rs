@@ -1,8 +1,7 @@
 //! The simulator's determinism contract: the event trace and the final
 //! [`SimReport`] are pure functions of `(scenario, master_seed)` —
-//! invariant under event-source registration order and under the solver
-//! `jobs` knob — plus the zero-duration (arrive-and-instantly-depart)
-//! edge case.
+//! invariant under event-source registration order — plus the
+//! zero-duration (arrive-and-instantly-depart) edge case.
 
 use grooming_sim::{run, run_with_streams, AppliedEvent, Scenario};
 use proptest::prelude::*;
@@ -42,22 +41,6 @@ proptest! {
         prop_assert_eq!(&canonical.report, &shuffled.report);
         prop_assert_eq!(canonical.report.render(), shuffled.report.render());
         prop_assert_eq!(&canonical.applied, &shuffled.applied);
-    }
-
-    /// The solver `jobs` knob never reaches the trace: warm repair is its
-    /// own deterministic algorithm.
-    #[test]
-    fn jobs_count_is_unobservable(
-        master_seed in any::<u64>(),
-        jobs in 1usize..5,
-    ) {
-        let base = quick(master_seed, 3);
-        let mut parallel = base.clone();
-        parallel.jobs = jobs;
-        let a = run(&base);
-        let b = run(&parallel);
-        prop_assert_eq!(&a.trace, &b.trace);
-        prop_assert_eq!(&a.report, &b.report);
     }
 }
 

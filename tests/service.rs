@@ -386,14 +386,17 @@ fn saturation_sheds_deadline_unmeetable_work_deterministically() {
     assert_eq!(stats.counters.completed_items, 4);
 }
 
-/// The process's peak resident set (`VmHWM`) in MiB.
+/// The process's peak resident set (`VmHWM`) in MiB. Panics when the
+/// host reports none: a missing reading must fail the memory check, not
+/// pass it.
 fn peak_rss_mib() -> f64 {
     let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
     status
         .lines()
         .find_map(|l| l.strip_prefix("VmHWM:"))
         .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
-        .map_or(0.0, |kb| kb / 1024.0)
+        .map(|kb| kb / 1024.0)
+        .expect("peak RSS unavailable: /proc/self/status has no VmHWM line")
 }
 
 #[test]
