@@ -71,6 +71,17 @@ guard 'split_whitespace\(' \
 echo "== cargo build --all-targets (benches, examples, tests compile) =="
 cargo build --all-targets
 
+echo "== examples run (their asserts hold) =="
+# Building an example checks none of its asserts (mesh_metro's
+# "uncapacitated meshes never block", for one); each runs in well under a
+# second in a debug build. Named one by one, so a new example is added here
+# on purpose.
+for example in all_to_all dynamic_provisioning hardness_gadget mesh_metro \
+  metro_network metro_ring mixed_rate quickstart ring_variants service_demo; do
+  target/debug/examples/"$example" > /dev/null \
+    || { echo "error: example $example failed"; exit 1; }
+done
+
 echo "== tier-1: cargo build --release && cargo test =="
 cargo build --release
 cargo test -q

@@ -150,7 +150,7 @@ pub struct GroomOptions {
     pub compare: bool,
     /// Optional wavelength budget (`W ≤ B` enforced after grooming).
     pub budget: Option<usize>,
-    /// Print the analytic breakdown (histograms, hot nodes, gap).
+    /// Print the analytic breakdown (histograms, hot nodes, cost over bound).
     pub analyze: bool,
     /// Write a Graphviz DOT rendering (edges colored by wavelength).
     pub dot: Option<String>,
@@ -628,7 +628,8 @@ OPTIONS:
                  boundaries, the best-so-far plan is returned on expiry
   --budget B     enforce a wavelength budget (W <= B)
   --parts        print the per-wavelength demand groups
-  --analyze      print the analytic breakdown (histograms, hot nodes, gap)
+  --analyze      print the analytic breakdown (histograms, hot nodes, cost
+                 over bound)
   --dot FILE     write a Graphviz rendering (edges colored by wavelength)
   --compare      run every applicable algorithm and compare
 

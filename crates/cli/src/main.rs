@@ -9,7 +9,7 @@ use std::time::Duration;
 use args::{algorithm_by_name, parse, Command, GroomOptions, ALGO_NAMES, USAGE};
 use grooming::algorithm::Algorithm;
 use grooming::bounds;
-use grooming::pipeline::groom;
+use grooming::pipeline::{assemble, groom};
 use grooming::solve::{Instance, Plan, SolveContext, Solver};
 use grooming_sonet::demand::DemandSet;
 use rand::rngs::StdRng;
@@ -370,27 +370,17 @@ fn run_one(demands: &DemandSet, algo: Algorithm, opts: &GroomOptions) {
     // pipeline for consistent reporting.
     if let Some(budget) = opts.budget {
         let g = demands.to_traffic_graph();
-        match algo.solve(&Instance::budgeted(g, opts.k, budget), &mut ctx) {
+        match algo.solve(&Instance::budgeted(g.clone(), opts.k, budget), &mut ctx) {
             Ok(sol) => {
-                let Plan::Budgeted { partition, .. } = &sol.plan else {
+                let Plan::Budgeted { partition, .. } = sol.plan else {
                     unreachable!("budgeted instances yield budgeted plans");
                 };
-                let groups: Vec<Vec<grooming_sonet::demand::DemandPair>> = partition
-                    .parts()
-                    .iter()
-                    .map(|part| part.iter().map(|e| demands.pairs()[e.index()]).collect())
-                    .collect();
-                let ring = grooming_sonet::ring::UpsrRing::new(demands.num_nodes());
-                let assignment =
-                    grooming_sonet::grooming::GroomingAssignment::new(ring, opts.k, groups);
-                assignment
-                    .validate(Some(demands))
-                    .expect("budgeted partitions stay valid");
+                let out = assemble(demands, &g, opts.k, partition);
                 println!("algorithm: {} (budget {budget})", algo.name());
-                println!("\n{}", assignment.report());
-                print_solve_summary(&ctx, sol.timed_out, assignment.report().sadm_total);
+                println!("\n{}", out.report);
+                print_solve_summary(&ctx, sol.timed_out, out.report.sadm_total);
                 if opts.show_parts {
-                    print_parts(&assignment);
+                    print_parts(&out.assignment);
                 }
             }
             Err(e) => {
@@ -464,26 +454,14 @@ fn run_portfolio(demands: &DemandSet, opts: &GroomOptions) {
         engine = engine.deadline(Some(std::time::Instant::now() + Duration::from_millis(ms)));
     }
     let result = engine.run(&g, opts.k);
-
-    // Rebuild the ring-side assignment for the standard report.
-    let groups: Vec<Vec<grooming_sonet::demand::DemandPair>> = result
-        .partition
-        .parts()
-        .iter()
-        .map(|part| part.iter().map(|e| demands.pairs()[e.index()]).collect())
-        .collect();
-    let ring = grooming_sonet::ring::UpsrRing::new(demands.num_nodes());
-    let assignment = grooming_sonet::grooming::GroomingAssignment::new(ring, opts.k, groups);
-    assignment
-        .validate(Some(demands))
-        .expect("portfolio partitions stay valid");
+    let out = assemble(demands, &g, opts.k, result.partition);
 
     println!(
         "algorithm: {} (portfolio winner, restart {}, master seed {master})",
         result.winner.name(),
         result.winner_restart
     );
-    println!("\n{}", assignment.report());
+    println!("\n{}", out.report);
     println!(
         "portfolio: {} attempts in {:.1?} ({} skipped, {} failed, {} past deadline){}",
         result.attempts.len(),
@@ -523,11 +501,11 @@ fn run_portfolio(demands: &DemandSet, opts: &GroomOptions) {
     if opts.analyze {
         println!(
             "\n{}",
-            grooming::analysis::analyze(&g, opts.k, &result.partition)
+            grooming::analysis::analyze(&g, opts.k, &out.partition)
         );
     }
     if opts.show_parts {
-        print_parts(&assignment);
+        print_parts(&out.assignment);
     }
 }
 

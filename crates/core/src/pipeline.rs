@@ -50,12 +50,12 @@ pub fn groom<R: Rng>(
 
 /// Turns a partition of `demands`' traffic graph `g` into a validated
 /// ring-side grooming with cross-checked cost accounting — the back half of
-/// [`groom`], shared with the solve layer.
+/// [`groom`], shared with the solve layer and the CLI.
 ///
 /// # Panics
 /// Panics if any internal consistency check fails (a bug, not an input
 /// error).
-pub(crate) fn assemble(
+pub fn assemble(
     demands: &DemandSet,
     g: &grooming_graph::graph::Graph,
     k: usize,

@@ -841,8 +841,13 @@ pub trait Solver {
 impl Solver for Algorithm {
     /// One attempt of this algorithm per (per-ring) traffic graph, on the
     /// context's RNG stream — bit-identical to calling [`Algorithm::run`]
-    /// with the same stream.
+    /// with the same stream. [`Algorithm::Portfolio`] is the default
+    /// [`PortfolioSolver`], which draws its master seed the same way and
+    /// also checks the deadline and cancel flag between its attempts.
     fn solve(&self, instance: &Instance, ctx: &mut SolveContext) -> Result<Solution, SolveError> {
+        if *self == Algorithm::Portfolio {
+            return PortfolioSolver::default().solve(instance, ctx);
+        }
         solve_instance(instance, ctx, |g, k, ctx| {
             let resets_before = ctx.workspace.scratch_resets();
             let (rng, ws, config, stats) = ctx.split();
@@ -1346,6 +1351,42 @@ mod tests {
         };
         assignment.validate(Some(&demands)).unwrap();
         assert_eq!(sol.plan.sadm_cost(), assignment.sadm_count());
+    }
+
+    /// Solves with `algo=auto` under `ctx`, whose deadline has passed or
+    /// whose cancel flag is raised: attempt 0 of the default portfolio
+    /// (Brauner) runs, the rest of the lineup is skipped.
+    fn assert_portfolio_stops_after_attempt0(mut ctx: SolveContext) {
+        let g = graph(13);
+        let attempt0 = Algorithm::Brauner
+            .run(&g, 4, &mut StdRng::seed_from_u64(0))
+            .unwrap();
+        let full = Algorithm::Portfolio
+            .solve(&Instance::upsr(g.clone(), 4), &mut SolveContext::seeded(13))
+            .unwrap();
+        // The lineup beats attempt 0 here, so a skipped lineup shows.
+        assert!(full.plan.sadm_cost() < attempt0.sadm_cost(&g));
+        let sol = Algorithm::Portfolio
+            .solve(&Instance::upsr(g.clone(), 4), &mut ctx)
+            .unwrap();
+        assert_eq!(sol.plan.partition().unwrap().parts(), attempt0.parts());
+        assert!(sol.timed_out);
+        assert_eq!(sol.cancelled, ctx.cancelled());
+        assert_eq!(ctx.stats().attempts, 1);
+    }
+
+    #[test]
+    fn portfolio_algorithm_stops_at_an_expired_deadline() {
+        assert_portfolio_stops_after_attempt0(
+            SolveContext::seeded(13).with_deadline(Instant::now()),
+        );
+    }
+
+    #[test]
+    fn portfolio_algorithm_stops_when_cancelled() {
+        let ctx = SolveContext::seeded(13);
+        ctx.cancel_flag().store(true, Ordering::Relaxed);
+        assert_portfolio_stops_after_attempt0(ctx);
     }
 
     #[test]

@@ -11,10 +11,16 @@
 //! `upsr-groom groom FILE` reads traffic graphs as edge lists or graph6
 //! and exports plans as Graphviz DOT; groomd's wire protocol carries its
 //! demands and topologies in the versioned [`DemandList`] and topology
-//! blocks. Each `format_*` is its parser's round-trip partner in the tests.
+//! blocks. The three block formats share one grammar: a `[<magic> v1] <n>
+//! <m>` header, then body lines, read by one header reader and one `u v
+//! [x]` line reader and written by one line writer. Each `format_*` or
+//! `write_*` is its parser's round-trip partner in the tests.
+
+use std::fmt::Write as _;
 
 use crate::graph::Graph;
 use crate::ids::NodeId;
+use crate::topology::{NodeCaps, Topology};
 
 /// Errors from [`parse_edge_list`], [`parse_demand_list`], and friends.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,13 +111,116 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+// ---------------------------------------------------------------------------
+// the shared grammar: one header reader, one line reader, one line writer
+// ---------------------------------------------------------------------------
+
+/// A block's lines, numbered from 1 (blank and `#` lines count) and
+/// trimmed, with the blank and `#` lines then skipped.
+fn block_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    text.lines()
+        .enumerate()
+        .map(|(i, l)| (i + 1, l.trim()))
+        .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'))
+}
+
+/// Reads a block's `[<magic> v1] <n> <m>` header from its first line;
+/// `magic` is `None` for the bare edge list. A wrong magic token, a
+/// missing version, an `n` or `m` that does not parse, or an extra token
+/// is `BadHeader`; a version other than `v1` is `UnsupportedVersion`.
+fn read_header<'a>(
+    lines: &mut impl Iterator<Item = (usize, &'a str)>,
+    magic: Option<&str>,
+) -> Result<(usize, usize), ParseError> {
+    let (_, header) = lines
+        .next()
+        .ok_or_else(|| ParseError::BadHeader("<empty input>".into()))?;
+    let bad = || ParseError::BadHeader(header.into());
+    let mut toks = header.split_whitespace();
+    if let Some(magic) = magic {
+        if toks.next() != Some(magic) {
+            return Err(bad());
+        }
+        let version = toks.next().ok_or_else(bad)?;
+        if version != "v1" {
+            let found = version.into();
+            return Err(ParseError::UnsupportedVersion { found });
+        }
+    }
+    let mut count = || toks.next().and_then(|t| t.parse().ok()).ok_or_else(bad);
+    let (n, m) = (count()?, count()?);
+    match toks.next() {
+        None => Ok((n, m)),
+        Some(_) => Err(bad()),
+    }
+}
+
+/// Builds one of [`ParseError`]'s per-line variants from a line number
+/// and that line's content.
+type LineError = fn(usize, String) -> ParseError;
+
+/// Reads one `u v [x]` body line of a block on `n` nodes. The checks run
+/// in this order: the `u v` tokens (`BadEdge`); then `x`, a `u32` of at
+/// least 1 that reads as 1 when absent and is otherwise `bad_x` (a format
+/// whose lines take no `x` passes `None`, and any third token is
+/// `BadEdge`); then a fourth token (`BadEdge`); then the endpoint range,
+/// where `u == v` is refused too (`BadEndpoint`).
+fn read_line(
+    (line_no, line): (usize, &str),
+    n: usize,
+    bad_x: Option<LineError>,
+) -> Result<(u32, u32, u32), ParseError> {
+    let fail = |error: LineError| Err(error(line_no, line.into()));
+    let bad_edge: LineError = |line, content| ParseError::BadEdge { line, content };
+    let mut toks = line.split_whitespace();
+    let mut endpoint = || toks.next().and_then(|t| t.parse::<u32>().ok());
+    let (Some(u), Some(v)) = (endpoint(), endpoint()) else {
+        return fail(bad_edge);
+    };
+    let x = match (toks.next(), bad_x) {
+        (None, _) => 1,
+        (Some(_), None) => return fail(bad_edge),
+        (Some(tok), Some(bad_x)) => match tok.parse::<u32>() {
+            Ok(x) if x >= 1 => x,
+            _ => return fail(bad_x),
+        },
+    };
+    if toks.next().is_some() {
+        return fail(bad_edge);
+    }
+    if u as usize >= n || v as usize >= n || u == v {
+        return fail(|line, content| ParseError::BadEndpoint { line, content });
+    }
+    Ok((u, v, x))
+}
+
+/// `EdgeCountMismatch` unless a block found the body lines it declared.
+fn check_count(declared: usize, found: usize) -> Result<(), ParseError> {
+    match declared == found {
+        true => Ok(()),
+        false => Err(ParseError::EdgeCountMismatch { declared, found }),
+    }
+}
+
+/// Appends one `u v[ x]` body line to `out`. An `x` of 1 is left out, so
+/// unit entries and unit weights drop their trailing `1`.
+fn write_line(out: &mut String, u: u32, v: u32, x: u32) {
+    let _ = match x {
+        1 => writeln!(out, "{u} {v}"),
+        x => writeln!(out, "{u} {v} {x}"),
+    };
+}
+
+// ---------------------------------------------------------------------------
+// edge lists
+// ---------------------------------------------------------------------------
+
 /// Serializes a graph to the edge-list format.
 pub fn format_edge_list(g: &Graph) -> String {
     let mut out = String::with_capacity(16 + 8 * g.num_edges());
-    out.push_str(&format!("{} {}\n", g.num_nodes(), g.num_edges()));
-    for e in g.edges() {
-        let (u, v) = g.endpoints(e);
-        out.push_str(&format!("{u} {v}\n"));
+    let _ = writeln!(out, "{} {}", g.num_nodes(), g.num_edges());
+    for &(u, v) in g.edge_list() {
+        write_line(&mut out, u.0, v.0, 1);
     }
     out
 }
@@ -119,57 +228,14 @@ pub fn format_edge_list(g: &Graph) -> String {
 /// Parses the edge-list format. Comment lines start with `#`; blank lines
 /// are ignored.
 pub fn parse_edge_list(text: &str) -> Result<Graph, ParseError> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .map(|(i, l)| (i + 1, l.trim()))
-        .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'));
-
-    let (_, header) = lines
-        .next()
-        .ok_or_else(|| ParseError::BadHeader("<empty input>".into()))?;
-    let mut parts = header.split_whitespace();
-    let n: usize = parts
-        .next()
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| ParseError::BadHeader(header.into()))?;
-    let m: usize = parts
-        .next()
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| ParseError::BadHeader(header.into()))?;
-    if parts.next().is_some() {
-        return Err(ParseError::BadHeader(header.into()));
-    }
-
+    let mut lines = block_lines(text);
+    let (n, m) = read_header(&mut lines, None)?;
     let mut g = Graph::new(n);
-    let mut found = 0usize;
-    for (line_no, line) in lines {
-        let mut parts = line.split_whitespace();
-        let (u, v) = match (
-            parts.next().and_then(|t| t.parse::<u32>().ok()),
-            parts.next().and_then(|t| t.parse::<u32>().ok()),
-            parts.next(),
-        ) {
-            (Some(u), Some(v), None) => (u, v),
-            _ => {
-                return Err(ParseError::BadEdge {
-                    line: line_no,
-                    content: line.into(),
-                })
-            }
-        };
-        if u as usize >= n || v as usize >= n || u == v {
-            return Err(ParseError::BadEndpoint {
-                line: line_no,
-                content: line.into(),
-            });
-        }
+    for line in lines {
+        let (u, v, _) = read_line(line, n, None)?;
         g.add_edge(NodeId(u), NodeId(v));
-        found += 1;
     }
-    if found != m {
-        return Err(ParseError::EdgeCountMismatch { declared: m, found });
-    }
+    check_count(m, g.num_edges())?;
     Ok(g)
 }
 
@@ -215,110 +281,33 @@ impl DemandList {
     }
 }
 
-/// Serializes a demand list in canonical v1 form (unit entries omit the
-/// trailing `1`), the inverse of [`parse_demand_list`].
-pub fn format_demand_list(list: &DemandList) -> String {
-    let mut out = String::with_capacity(24 + 8 * list.entries.len());
-    out.push_str(&format!(
-        "{DEMAND_LIST_V1} {} {}\n",
-        list.nodes,
-        list.entries.len()
-    ));
-    for &(u, v, units) in &list.entries {
-        if units == 1 {
-            out.push_str(&format!("{u} {v}\n"));
-        } else {
-            out.push_str(&format!("{u} {v} {units}\n"));
-        }
+/// Appends a demand list on `nodes` nodes with `(u, v, units)` `entries`
+/// to `out` in canonical v1 form (unit entries omit the trailing `1`), the
+/// inverse of [`parse_demand_list`].
+pub fn write_demand_list(
+    out: &mut String,
+    nodes: usize,
+    entries: impl ExactSizeIterator<Item = (u32, u32, u32)>,
+) {
+    out.reserve(24 + 8 * entries.len());
+    let _ = writeln!(out, "{DEMAND_LIST_V1} {nodes} {}", entries.len());
+    for (u, v, units) in entries {
+        write_line(out, u, v, units);
     }
-    out
 }
 
 /// Parses the versioned demand-list format. Malformed input — including
 /// unknown versions, self-demands, out-of-range endpoints, zero units, and
 /// count mismatches — returns `Err`; this function never panics.
 pub fn parse_demand_list(text: &str) -> Result<DemandList, ParseError> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .map(|(i, l)| (i + 1, l.trim()))
-        .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'));
-
-    let (_, header) = lines
-        .next()
-        .ok_or_else(|| ParseError::BadHeader("<empty input>".into()))?;
-    let mut parts = header.split_whitespace();
-    if parts.next() != Some("demands") {
-        return Err(ParseError::BadHeader(header.into()));
-    }
-    let version = parts
-        .next()
-        .ok_or_else(|| ParseError::BadHeader(header.into()))?;
-    if version != "v1" {
-        return Err(ParseError::UnsupportedVersion {
-            found: version.into(),
-        });
-    }
-    let n: usize = parts
-        .next()
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| ParseError::BadHeader(header.into()))?;
-    let m: usize = parts
-        .next()
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| ParseError::BadHeader(header.into()))?;
-    if parts.next().is_some() {
-        return Err(ParseError::BadHeader(header.into()));
-    }
-
-    let mut entries = Vec::new();
-    for (line_no, line) in lines {
-        let mut toks = line.split_whitespace();
-        let (u, v) = match (
-            toks.next().and_then(|t| t.parse::<u32>().ok()),
-            toks.next().and_then(|t| t.parse::<u32>().ok()),
-        ) {
-            (Some(u), Some(v)) => (u, v),
-            _ => {
-                return Err(ParseError::BadEdge {
-                    line: line_no,
-                    content: line.into(),
-                })
-            }
-        };
-        let units = match toks.next() {
-            None => 1,
-            Some(tok) => match tok.parse::<u32>() {
-                Ok(u) if u >= 1 => u,
-                _ => {
-                    return Err(ParseError::BadUnits {
-                        line: line_no,
-                        content: line.into(),
-                    })
-                }
-            },
-        };
-        if toks.next().is_some() {
-            return Err(ParseError::BadEdge {
-                line: line_no,
-                content: line.into(),
-            });
-        }
-        if u as usize >= n || v as usize >= n || u == v {
-            return Err(ParseError::BadEndpoint {
-                line: line_no,
-                content: line.into(),
-            });
-        }
-        entries.push((u, v, units));
-    }
-    if entries.len() != m {
-        return Err(ParseError::EdgeCountMismatch {
-            declared: m,
-            found: entries.len(),
-        });
-    }
-    Ok(DemandList { nodes: n, entries })
+    let mut lines = block_lines(text);
+    let (nodes, m) = read_header(&mut lines, Some("demands"))?;
+    let bad_units: LineError = |line, content| ParseError::BadUnits { line, content };
+    let entries = lines
+        .map(|line| read_line(line, nodes, Some(bad_units)))
+        .collect::<Result<Vec<_>, _>>()?;
+    check_count(m, entries.len())?;
+    Ok(DemandList { nodes, entries })
 }
 
 // ---------------------------------------------------------------------------
@@ -345,42 +334,23 @@ pub fn parse_demand_list(text: &str) -> Result<DemandList, ParseError> {
 /// The magic+version token opening a [`parse_topology`] payload.
 pub const TOPOLOGY_V1: &str = "topology v1";
 
-use crate::topology::{NodeCaps, Topology};
-
-/// Serializes a topology in canonical v1 form (unlimited capacities as
-/// `*`, unit weights omitted), the inverse of [`parse_topology`].
-pub fn format_topology(topo: &Topology) -> String {
+/// Appends a topology to `out` in canonical v1 form (unlimited capacities
+/// as `*`, unit weights omitted), the inverse of [`parse_topology`].
+pub fn write_topology(out: &mut String, topo: &Topology) {
     let g = topo.graph();
-    let mut out = String::with_capacity(24 + 6 * g.num_nodes() + 8 * g.num_edges());
-    out.push_str(&format!(
-        "{TOPOLOGY_V1} {} {}\n",
-        g.num_nodes(),
-        g.num_edges()
-    ));
-    let cap = |c: u32| {
-        if c == u32::MAX {
-            "*".to_string()
-        } else {
-            c.to_string()
-        }
-    };
-    for &c in topo.node_caps() {
-        out.push_str(&format!(
-            "{} {}\n",
-            cap(c.add_drop_ports),
-            cap(c.switch_capacity)
-        ));
-    }
-    for e in g.edges() {
-        let (u, v) = g.endpoints(e);
-        let w = topo.weight(e);
-        if w == 1 {
-            out.push_str(&format!("{u} {v}\n"));
-        } else {
-            out.push_str(&format!("{u} {v} {w}\n"));
+    out.reserve(24 + 6 * g.num_nodes() + 8 * g.num_edges());
+    let _ = writeln!(out, "{TOPOLOGY_V1} {} {}", g.num_nodes(), g.num_edges());
+    for caps in topo.node_caps() {
+        for (cap, end) in [(caps.add_drop_ports, ' '), (caps.switch_capacity, '\n')] {
+            let _ = match cap {
+                u32::MAX => write!(out, "*{end}"),
+                cap => write!(out, "{cap}{end}"),
+            };
         }
     }
-    out
+    for (&(u, v), &w) in g.edge_list().iter().zip(topo.weights()) {
+        write_line(out, u.0, v.0, w);
+    }
 }
 
 fn parse_cap_token(tok: &str) -> Option<u32> {
@@ -394,48 +364,15 @@ fn parse_cap_token(tok: &str) -> Option<u32> {
 /// Parses the versioned topology format. Malformed input — unknown
 /// versions, bad capacities, self-loop links, out-of-range endpoints,
 /// zero weights, and line-count mismatches — returns `Err`; this function
-/// never panics.
+/// never panics. The body count (`n + m`) is checked before any body
+/// line is parsed.
 pub fn parse_topology(text: &str) -> Result<Topology, ParseError> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .map(|(i, l)| (i + 1, l.trim()))
-        .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'));
-
-    let (_, header) = lines
-        .next()
-        .ok_or_else(|| ParseError::BadHeader("<empty input>".into()))?;
-    let mut parts = header.split_whitespace();
-    if parts.next() != Some("topology") {
-        return Err(ParseError::BadHeader(header.into()));
-    }
-    let version = parts
-        .next()
-        .ok_or_else(|| ParseError::BadHeader(header.into()))?;
-    if version != "v1" {
-        return Err(ParseError::UnsupportedVersion {
-            found: version.into(),
-        });
-    }
-    let n: usize = parts
-        .next()
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| ParseError::BadHeader(header.into()))?;
-    let m: usize = parts
-        .next()
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| ParseError::BadHeader(header.into()))?;
-    if parts.next().is_some() {
-        return Err(ParseError::BadHeader(header.into()));
-    }
-
+    let mut lines = block_lines(text);
+    let (n, m) = read_header(&mut lines, Some("topology"))?;
     let body: Vec<(usize, &str)> = lines.collect();
-    if body.len() != n + m {
-        return Err(ParseError::EdgeCountMismatch {
-            declared: n + m,
-            found: body.len(),
-        });
-    }
+    // Saturating: a sum past `usize::MAX` must not wrap into a count the
+    // body can meet, or `body[..n]` would index past it.
+    check_count(n.saturating_add(m), body.len())?;
 
     let mut caps = Vec::with_capacity(n);
     for &(line_no, line) in &body[..n] {
@@ -457,44 +394,9 @@ pub fn parse_topology(text: &str) -> Result<Topology, ParseError> {
 
     let mut g = Graph::new(n);
     let mut weights = Vec::with_capacity(m);
-    for &(line_no, line) in &body[n..] {
-        let mut toks = line.split_whitespace();
-        let (u, v) = match (
-            toks.next().and_then(|t| t.parse::<u32>().ok()),
-            toks.next().and_then(|t| t.parse::<u32>().ok()),
-        ) {
-            (Some(u), Some(v)) => (u, v),
-            _ => {
-                return Err(ParseError::BadEdge {
-                    line: line_no,
-                    content: line.into(),
-                })
-            }
-        };
-        let w = match toks.next() {
-            None => 1,
-            Some(tok) => match tok.parse::<u32>() {
-                Ok(w) if w >= 1 => w,
-                _ => {
-                    return Err(ParseError::BadWeight {
-                        line: line_no,
-                        content: line.into(),
-                    })
-                }
-            },
-        };
-        if toks.next().is_some() {
-            return Err(ParseError::BadEdge {
-                line: line_no,
-                content: line.into(),
-            });
-        }
-        if u as usize >= n || v as usize >= n || u == v {
-            return Err(ParseError::BadEndpoint {
-                line: line_no,
-                content: line.into(),
-            });
-        }
+    let bad_weight: LineError = |line, content| ParseError::BadWeight { line, content };
+    for &line in &body[n..] {
+        let (u, v, w) = read_line(line, n, Some(bad_weight))?;
         g.add_edge(NodeId(u), NodeId(v));
         weights.push(w);
     }
@@ -510,21 +412,25 @@ pub fn format_dot(g: &Graph, name: &str, edge_color: Option<&[usize]>) -> String
         "#FF9DA7", "#86BCB6",
     ];
     let mut out = String::new();
-    out.push_str(&format!("graph {} {{\n", sanitize_dot_id(name)));
+    let _ = writeln!(out, "graph {} {{", sanitize_dot_id(name));
     out.push_str("  layout=circo;\n  node [shape=circle fontsize=10];\n");
     for v in g.nodes() {
-        out.push_str(&format!("  {v};\n"));
+        let _ = writeln!(out, "  {v};");
     }
     for e in g.edges() {
         let (u, v) = g.endpoints(e);
-        let attrs = match edge_color.and_then(|c| c.get(e.index())) {
-            Some(&c) if c != usize::MAX => format!(
-                " [color=\"{}\" penwidth=2 tooltip=\"wavelength {c}\"]",
-                PALETTE[c % PALETTE.len()]
-            ),
-            _ => String::new(),
-        };
-        out.push_str(&format!("  {u} -- {v}{attrs};\n"));
+        let _ = write!(out, "  {u} -- {v}");
+        match edge_color.and_then(|c| c.get(e.index())) {
+            Some(&c) if c != usize::MAX => {
+                let color = PALETTE[c % PALETTE.len()];
+                let _ = write!(
+                    out,
+                    " [color=\"{color}\" penwidth=2 tooltip=\"wavelength {c}\"]"
+                );
+            }
+            _ => {}
+        }
+        out.push_str(";\n");
     }
     out.push_str("}\n");
     out
@@ -670,6 +576,20 @@ mod tests {
     use crate::generators;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// `list` as canonical text, through [`write_demand_list`].
+    pub(super) fn demand_text(list: &DemandList) -> String {
+        let mut out = String::new();
+        write_demand_list(&mut out, list.nodes, list.entries.iter().copied());
+        out
+    }
+
+    /// `topo` as canonical text, through [`write_topology`].
+    pub(super) fn topology_text(topo: &Topology) -> String {
+        let mut out = String::new();
+        write_topology(&mut out, topo);
+        out
+    }
 
     #[test]
     fn round_trip_random_graph() {
@@ -828,7 +748,7 @@ mod tests {
         assert_eq!(list.entries, vec![(0, 3, 1), (2, 1, 4), (5, 0, 1)]);
         assert_eq!(list.total_units(), 6);
         // Canonical form: unit entries drop the trailing `1`.
-        let canonical = format_demand_list(&list);
+        let canonical = demand_text(&list);
         assert_eq!(canonical, "demands v1 6 3\n0 3\n2 1 4\n5 0\n");
         assert_eq!(parse_demand_list(&canonical).unwrap(), list);
     }
@@ -878,7 +798,7 @@ mod tests {
             nodes: 4,
             entries: vec![],
         };
-        let text = format_demand_list(&list);
+        let text = demand_text(&list);
         assert_eq!(parse_demand_list(&text).unwrap(), list);
         assert_eq!(list.total_units(), 0);
     }
@@ -895,13 +815,13 @@ mod tests {
         assert_eq!(topo.caps(NodeId(3)), NodeCaps::new(u32::MAX, 0));
         assert_eq!(topo.weights(), &[1, 3, 1, 2]);
         // Canonical form: `*` for unlimited, unit weights omitted.
-        let canonical = format_topology(&topo);
+        let canonical = topology_text(&topo);
         assert_eq!(
             canonical,
             "topology v1 4 4\n* *\n2 1\n0 4\n* 0\n0 1\n1 2 3\n2 3\n3 0 2\n"
         );
         let back = parse_topology(&canonical).unwrap();
-        assert_eq!(format_topology(&back), canonical);
+        assert_eq!(topology_text(&back), canonical);
     }
 
     #[test]
@@ -950,15 +870,106 @@ mod tests {
     }
 
     #[test]
+    fn topology_counts_past_usize_max_are_a_count_mismatch() {
+        let text = format!("topology v1 {} 1\n", usize::MAX);
+        assert!(matches!(
+            parse_topology(&text),
+            Err(ParseError::EdgeCountMismatch {
+                declared: usize::MAX,
+                found: 0
+            })
+        ));
+    }
+
+    #[test]
     fn linkless_topology_round_trips() {
         let topo = parse_topology("topology v1 3 0\n* *\n1 2\n* *\n").unwrap();
         assert_eq!(topo.num_links(), 0);
-        assert_eq!(format_topology(&topo), "topology v1 3 0\n* *\n1 2\n* *\n");
+        assert_eq!(topology_text(&topo), "topology v1 3 0\n* *\n1 2\n* *\n");
+    }
+
+    /// Every parser's verdict on a fixed corpus, `Ok` value or error, is
+    /// pinned through one hash of its `Debug` text, so any change to what
+    /// the three block grammars accept, build or report shows here.
+    #[test]
+    fn parse_verdicts_on_the_corpus_are_pinned() {
+        const CANONICAL: [&str; 3] = [
+            "4 3\n0 1\n3 2\n1 3\n",
+            "demands v1 5 3\n0 3\n4 1 2\n2 0\n",
+            "topology v1 3 3\n* *\n2 1\n0 *\n0 1\n2 1 3\n0 2\n",
+        ];
+        let mut corpus: Vec<String> = CANONICAL.iter().map(|s| s.to_string()).collect();
+        for block in CANONICAL {
+            for i in 0..block.len() {
+                let mut deleted = block.as_bytes().to_vec();
+                deleted.remove(i);
+                corpus.push(String::from_utf8(deleted).unwrap());
+                // Non-ASCII bytes alone are not UTF-8 and cannot reach a
+                // `&str` parser.
+                for b in 0..0x80u8 {
+                    let mut bytes = block.as_bytes().to_vec();
+                    if bytes[i] != b {
+                        bytes[i] = b;
+                        corpus.push(String::from_utf8(bytes).unwrap());
+                    }
+                }
+            }
+        }
+        corpus.extend(
+            [
+                // Blank and `#` lines inside a body still count as lines.
+                "# lead\n4 3\n0 1\n\n# mid\n3 2\n  \n1 3\n# tail\n",
+                "demands v1 5 3\n0 3\n\n# mid\n4 1 2\n\n2 0\n",
+                "topology v1 3 3\n* *\n# caps\n2 1\n\n0 *\n# links\n0 1\n\n2 1 3\n0 2\n",
+                "4 3\n0 1\n\n# mid\n3 3\n",
+                "demands v1 5 3\n0 3\n\n# mid\n4 1 0\n2 0\n",
+                "topology v1 3 3\n* *\n\n# caps\n2 x\n0 *\n0 1\n2 1 3\n0 2\n",
+                // A fourth token on a line.
+                "4 3\n0 1\n3 2 1 1\n1 3\n",
+                "demands v1 5 3\n0 3\n4 1 2 2\n2 0\n",
+                "demands v1 5 3\n0 3\n4 1 0 2\n2 0\n",
+                "topology v1 3 3\n* *\n2 1\n0 *\n0 1\n2 1 3 3\n0 2\n",
+                "topology v1 3 3\n* *\n2 1\n0 *\n0 1\n2 1 3 x\n0 2\n",
+                // A count mismatch together with a bad line.
+                "4 2\n0 1\n3 9\n1 3\n",
+                "demands v1 5 4\n0 3\n4 1 2\n2 x\n",
+                "demands v1 5 2\n0 3\n4 4 2\n2 0\n",
+                "topology v1 3 2\n* *\n2 1\n0 *\n0 1\n2 1 0\n0 2\n",
+                // A topology with a wrong count and a bad capacity line.
+                "topology v1 3 4\n* *\n2 y\n0 *\n0 1\n2 1 3\n0 2\n",
+                "topology v1 3 2\n* * *\n2 1\n0 *\n0 1\n2 1 3\n0 2\n",
+                // Header shapes.
+                "",
+                "\n# only a comment\n",
+                "demands v2 5 0\n",
+                "demands\n",
+                "topology v1 3\n",
+                "4 3 1\n",
+            ]
+            .map(String::from),
+        );
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for text in &corpus {
+            for verdict in [
+                format!("{:?}", parse_edge_list(text)),
+                format!("{:?}", parse_demand_list(text)),
+                format!("{:?}", parse_topology(text)),
+            ] {
+                for &b in verdict.as_bytes().iter().chain(b"\n") {
+                    hash = (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        // Both values were read from the parsers at commit 9697f87, before
+        // they shared one header reader and one line reader.
+        assert_eq!(corpus.len(), 11_162, "corpus size");
+        assert_eq!(hash, 0x8ad8_c029_25d0_e0db, "corpus verdict hash");
     }
 }
 
 #[cfg(test)]
 mod demand_list_props {
+    use super::tests::demand_text;
     use super::*;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
@@ -988,12 +999,12 @@ mod demand_list_props {
 
         #[test]
         fn demand_list_round_trip(list in arb_demand_list()) {
-            let text = format_demand_list(&list);
+            let text = demand_text(&list);
             let back = parse_demand_list(&text).unwrap();
             prop_assert_eq!(&back, &list);
             // Serialization is canonical: a second round trip is bytewise
             // stable.
-            prop_assert_eq!(format_demand_list(&back), text);
+            prop_assert_eq!(demand_text(&back), text);
         }
 
         #[test]
@@ -1003,7 +1014,7 @@ mod demand_list_props {
         ) {
             // Corrupt one byte of a valid serialization; the parser must
             // return (Ok or Err), not panic.
-            let mut bytes = format_demand_list(&list).into_bytes();
+            let mut bytes = demand_text(&list).into_bytes();
             if !bytes.is_empty() {
                 let i = (flip as usize) % bytes.len();
                 bytes[i] = bytes[i].wrapping_add((flip >> 32) as u8 | 1);
@@ -1017,6 +1028,7 @@ mod demand_list_props {
 
 #[cfg(test)]
 mod topology_props {
+    use super::tests::topology_text;
     use super::*;
     use crate::topology::{NodeCaps, Topology};
     use proptest::prelude::*;
@@ -1061,7 +1073,7 @@ mod topology_props {
 
         #[test]
         fn topology_round_trip(topo in arb_topology()) {
-            let text = format_topology(&topo);
+            let text = topology_text(&topo);
             let back = parse_topology(&text).unwrap();
             prop_assert_eq!(back.num_nodes(), topo.num_nodes());
             prop_assert_eq!(back.num_links(), topo.num_links());
@@ -1072,7 +1084,7 @@ mod topology_props {
             }
             // Serialization is canonical: a second round trip is bytewise
             // stable.
-            prop_assert_eq!(format_topology(&back), text);
+            prop_assert_eq!(topology_text(&back), text);
         }
 
         #[test]
@@ -1082,7 +1094,7 @@ mod topology_props {
         ) {
             // Corrupt one byte of a valid serialization; the parser must
             // return (Ok or Err), not panic.
-            let mut bytes = format_topology(&topo).into_bytes();
+            let mut bytes = topology_text(&topo).into_bytes();
             if !bytes.is_empty() {
                 let i = (flip as usize) % bytes.len();
                 bytes[i] = bytes[i].wrapping_add((flip >> 32) as u8 | 1);

@@ -177,6 +177,54 @@ mod tests {
     }
 
     #[test]
+    fn digests_of_each_wire_kind_are_pinned() {
+        // (algo = None, algo = Brauner) per kind, read at commit 9697f87,
+        // while `format_item` still staged each item through a DemandList.
+        const PINNED: [(u128, u128); 7] = [
+            (
+                0xa633_3663_6432_acb7_ca15_b2bc_e4e2_7cf7,
+                0x7386_e2d6_53ee_6a10_d7b4_9ad2_180e_0184,
+            ),
+            (
+                0x5d02_242e_10bb_f0bf_d4e0_6a53_8415_07cd,
+                0x1e04_9980_238a_9058_a00a_2cf2_20e1_efe8,
+            ),
+            (
+                0x4b71_c758_57cf_6697_38d9_84b2_8c22_2b7c,
+                0x964a_2138_2bb2_cef0_1d12_fa89_2652_aad2,
+            ),
+            (
+                0xbb45_1bae_33da_6f49_d425_ab6b_01ad_e62a,
+                0x6990_9c03_3783_5dd6_07a4_6ee4_f425_01f9,
+            ),
+            (
+                0x5a89_3039_966b_6910_1476_f1bf_2f1c_5c1b,
+                0x0239_9786_fb89_66cf_664e_e66f_6e4b_db15,
+            ),
+            (
+                0x86f8_58ce_edbd_f58f_7755_8813_5353_09d0,
+                0xf406_f9a8_c9a8_0a68_39fd_5e2f_2b94_2660,
+            ),
+            (
+                0x9177_b1c3_d10f_c627_7cb7_4896_8a7c_e701,
+                0x38ba_b57a_3bb5_40c0_1ce9_9dbe_c891_16f9,
+            ),
+        ];
+        let items = crate::protocol::tests::one_of_each_kind();
+        assert_eq!(items.len(), PINNED.len());
+        for (item, &(plain, with_algo)) in items.iter().zip(&PINNED) {
+            let stanza = format_item(item).unwrap();
+            let kind = stanza.lines().next().unwrap();
+            assert_eq!(instance_digest(item, None), plain, "{kind}");
+            assert_eq!(
+                instance_digest(item, Some(Algorithm::Brauner)),
+                with_algo,
+                "{kind} algo=brauner"
+            );
+        }
+    }
+
+    #[test]
     fn multi_ring_instances_digest_via_debug_fallback() {
         use grooming_sonet::multiring::{rn, MultiRingNetwork};
         let mut network = MultiRingNetwork::new(vec![4, 4]);

@@ -103,6 +103,7 @@
 //! the caps), the block ends right after that line, and the lines that
 //! follow are read as new requests.
 
+use std::fmt::Write as _;
 use std::io::{self, BufRead};
 use std::time::Duration;
 
@@ -112,7 +113,7 @@ use grooming::solve::{DemandDelta, Instance};
 use grooming_graph::graph::Graph;
 use grooming_graph::ids::{EdgeId, NodeId};
 use grooming_graph::io::{
-    format_demand_list, format_topology, parse_demand_list, parse_topology, DemandList, ParseError,
+    parse_demand_list, parse_topology, write_demand_list, write_topology, DemandList, ParseError,
 };
 use grooming_graph::topology::Topology;
 use grooming_sonet::blsr::BlsrRing;
@@ -671,34 +672,30 @@ fn parse_item(line: &str, list: &DemandList) -> Result<Instance, WireError> {
     Ok(instance)
 }
 
+/// Each entry of `list` expanded to one `(u, v)` pair per unit, in
+/// order. Units were checked against `max_units` when the block was read.
+fn unit_pairs(list: &DemandList) -> impl Iterator<Item = (NodeId, NodeId)> + Clone + '_ {
+    list.entries
+        .iter()
+        .flat_map(|&(u, v, units)| std::iter::repeat_n((NodeId(u), NodeId(v)), units as usize))
+}
+
 fn graph_from_list(list: &DemandList) -> Graph {
-    let mut g = Graph::new(list.nodes);
-    for &(u, v, units) in &list.entries {
-        for _ in 0..units {
-            g.add_edge(NodeId(u), NodeId(v));
-        }
-    }
-    g
+    Graph::from_endpoints(list.nodes, unit_pairs(list))
 }
 
 fn demand_set_from_list(list: &DemandList) -> DemandSet {
     let mut d = DemandSet::new(list.nodes);
-    for &(u, v, units) in &list.entries {
-        for _ in 0..units {
-            d.add(NodeId(u), NodeId(v));
-        }
+    for (u, v) in unit_pairs(list) {
+        d.add(u, v);
     }
     d
 }
 
 fn pairs_from_list(list: &DemandList) -> Vec<DemandPair> {
-    let mut pairs = Vec::new();
-    for &(u, v, units) in &list.entries {
-        for _ in 0..units {
-            pairs.push(DemandPair::new(NodeId(u), NodeId(v)));
-        }
-    }
-    pairs
+    unit_pairs(list)
+        .map(|(u, v)| DemandPair::new(u, v))
+        .collect()
 }
 
 fn weighted_from_list(list: &DemandList) -> WeightedDemandSet {
@@ -754,30 +751,47 @@ pub fn format_reconfigure_request(request: &Request) -> Result<String, WireForma
 fn format_request_with_verb(verb: &str, request: &Request) -> Result<String, WireFormatError> {
     let mut out = format!("{verb} id={} count={}", request.id, request.items.len());
     if let Some(deadline) = request.deadline {
-        out.push_str(&format!(" deadline_ms={}", deadline.as_millis()));
+        let _ = write!(out, " deadline_ms={}", deadline.as_millis());
     }
     if let Some(algo) = request.algo {
-        out.push_str(&format!(" algo={}", algo.wire_name()));
+        let _ = write!(out, " algo={}", algo.wire_name());
     }
     out.push('\n');
     for item in &request.items {
-        out.push_str(&format_item(item)?);
+        write_item(&mut out, item)?;
     }
     out.push_str("END\n");
     Ok(out)
 }
 
-/// Serializes one item stanza (`ITEM` line + demand-list block).
+/// Serializes one item stanza (`ITEM` line + its blocks).
 pub fn format_item(instance: &Instance) -> Result<String, WireFormatError> {
-    let (head, list) = match instance {
-        Instance::Upsr { graph, k } => (format!("ITEM upsr k={k}"), graph_to_list(graph)),
-        Instance::Ring { demands, k } => (format!("ITEM ring k={k}"), demand_set_to_list(demands)),
-        Instance::Budgeted { graph, k, budget } => (
-            format!("ITEM budgeted k={k} budget={budget}"),
-            graph_to_list(graph),
-        ),
+    let mut out = String::new();
+    write_item(&mut out, instance)?;
+    Ok(out)
+}
+
+/// Appends one item stanza to `out`, each block written straight from what
+/// the instance holds.
+fn write_item(out: &mut String, instance: &Instance) -> Result<(), WireFormatError> {
+    match instance {
+        Instance::Upsr { graph, k } => {
+            let _ = writeln!(out, "ITEM upsr k={k}");
+            write_edges(out, graph);
+        }
+        Instance::Ring { demands, k } => {
+            let _ = writeln!(out, "ITEM ring k={k}");
+            write_pairs(out, demands.num_nodes(), demands.pairs());
+        }
+        Instance::Budgeted { graph, k, budget } => {
+            let _ = writeln!(out, "ITEM budgeted k={k} budget={budget}");
+            write_edges(out, graph);
+        }
         Instance::WeightedSplittable { demands, k } => {
-            (format!("ITEM weighted k={k}"), weighted_to_list(demands))
+            let _ = writeln!(out, "ITEM weighted k={k}");
+            let entries = demands.demands().iter();
+            let entries = entries.map(|d| (d.pair.lo().0, d.pair.hi().0, d.units));
+            write_demand_list(out, demands.num_nodes(), entries);
         }
         Instance::Blsr { ring, demands, k } => {
             if ring.num_nodes() != demands.num_nodes() {
@@ -785,7 +799,8 @@ pub fn format_item(instance: &Instance) -> Result<String, WireFormatError> {
                     "blsr ring size differs from demand node count",
                 ));
             }
-            (format!("ITEM blsr k={k}"), demand_set_to_list(demands))
+            let _ = writeln!(out, "ITEM blsr k={k}");
+            write_pairs(out, demands.num_nodes(), demands.pairs());
         }
         Instance::Reconfigure {
             demands,
@@ -794,20 +809,18 @@ pub fn format_item(instance: &Instance) -> Result<String, WireFormatError> {
             k,
         } => {
             let n = demands.num_nodes();
-            let mut out = format!("ITEM reconfigure k={k}\n");
-            out.push_str(&format_demand_list(&demand_set_to_list(demands)));
-            out.push_str(&format!("plan v1 {}\n", prior.parts().len()));
+            let _ = writeln!(out, "ITEM reconfigure k={k}");
+            write_pairs(out, n, demands.pairs());
+            let _ = writeln!(out, "plan v1 {}", prior.parts().len());
             for part in prior.parts() {
-                out.push_str(&part.len().to_string());
+                let _ = write!(out, "{}", part.len());
                 for e in part {
-                    out.push(' ');
-                    out.push_str(&e.index().to_string());
+                    let _ = write!(out, " {}", e.index());
                 }
                 out.push('\n');
             }
-            out.push_str(&format_demand_list(&pairs_to_list(n, &delta.added)));
-            out.push_str(&format_demand_list(&pairs_to_list(n, &delta.removed)));
-            return Ok(out);
+            write_pairs(out, n, &delta.added);
+            write_pairs(out, n, &delta.removed);
         }
         Instance::Mesh {
             topology,
@@ -815,57 +828,26 @@ pub fn format_item(instance: &Instance) -> Result<String, WireFormatError> {
             k,
             routes,
         } => {
-            let mut out = format!("ITEM mesh k={k} routes={routes}\n");
-            out.push_str(&format_topology(topology));
-            out.push_str(&format_demand_list(&demand_set_to_list(demands)));
-            return Ok(out);
+            let _ = writeln!(out, "ITEM mesh k={k} routes={routes}");
+            write_topology(out, topology);
+            write_pairs(out, demands.num_nodes(), demands.pairs());
         }
         Instance::MultiRing { .. } => return Err(WireFormatError::NotWireable("multi-ring")),
         _ => return Err(WireFormatError::NotWireable("unknown instance kind")),
-    };
-    Ok(format!("{head}\n{}", format_demand_list(&list)))
+    }
+    Ok(())
 }
 
-fn pairs_to_list(nodes: usize, pairs: &[DemandPair]) -> DemandList {
-    DemandList {
-        nodes,
-        entries: pairs.iter().map(|p| (p.lo().0, p.hi().0, 1)).collect(),
-    }
+/// Appends `graph`'s edges, in edge-id order, as a demand list of unit
+/// entries.
+fn write_edges(out: &mut String, graph: &Graph) {
+    let edges = graph.edge_list().iter().map(|&(u, v)| (u.0, v.0, 1));
+    write_demand_list(out, graph.num_nodes(), edges);
 }
 
-fn graph_to_list(graph: &Graph) -> DemandList {
-    DemandList {
-        nodes: graph.num_nodes(),
-        entries: graph
-            .edges()
-            .map(|e| {
-                let (u, v) = graph.endpoints(e);
-                (u.0, v.0, 1)
-            })
-            .collect(),
-    }
-}
-
-fn demand_set_to_list(demands: &DemandSet) -> DemandList {
-    DemandList {
-        nodes: demands.num_nodes(),
-        entries: demands
-            .pairs()
-            .iter()
-            .map(|p| (p.lo().0, p.hi().0, 1))
-            .collect(),
-    }
-}
-
-fn weighted_to_list(demands: &WeightedDemandSet) -> DemandList {
-    DemandList {
-        nodes: demands.num_nodes(),
-        entries: demands
-            .demands()
-            .iter()
-            .map(|d| (d.pair.lo().0, d.pair.hi().0, d.units))
-            .collect(),
-    }
+/// Appends `pairs` on `nodes` nodes as a demand list of unit entries.
+fn write_pairs(out: &mut String, nodes: usize, pairs: &[DemandPair]) {
+    write_demand_list(out, nodes, pairs.iter().map(|p| (p.lo().0, p.hi().0, 1)));
 }
 
 /// Serializes a batch response. This is *the* transcript shape: the TCP
@@ -881,14 +863,15 @@ pub fn format_batch_response(response: &BatchResponse) -> String {
                 timed_out,
                 cancelled,
             } => {
-                out.push_str(&format!(
-                    "PLAN {i} sadms={} wavelengths={} timed_out={timed_out} cancelled={cancelled}\n",
+                let _ = writeln!(
+                    out,
+                    "PLAN {i} sadms={} wavelengths={} timed_out={timed_out} cancelled={cancelled}",
                     plan.sadm_cost(),
                     plan.wavelengths(),
-                ));
+                );
             }
             ItemOutcome::Failed { error } => {
-                out.push_str(&format!("ERROR {i} {error}\n"));
+                let _ = writeln!(out, "ERROR {i} {error}");
             }
         }
     }
@@ -996,7 +979,7 @@ pub fn format_stats(snapshot: &StatsSnapshot) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::service::{ItemError, ServiceConfig};
     use grooming::solve::{SolveContext, Solver};
@@ -1041,9 +1024,46 @@ mod tests {
         }
     }
 
+    /// One instance of each wire kind, each holding its kind's awkward
+    /// cases: reversed and parallel edges, a multi-unit entry, `*` beside
+    /// finite capacities with a non-unit weight, and a reconfigure with a
+    /// non-empty plan and delta.
+    pub(crate) fn one_of_each_kind() -> Vec<Instance> {
+        let graph = Graph::from_edges(5, &[(0, 1), (3, 1), (2, 4), (0, 1)]);
+        let demands = DemandSet::from_pairs(6, &[(0, 3), (4, 1), (0, 3), (5, 2)]);
+        let mut weighted = WeightedDemandSet::new(6);
+        weighted.add(NodeId(0), NodeId(3), 4);
+        weighted.add(NodeId(5), NodeId(1), 1);
+        let caps = vec![
+            NodeCaps::UNLIMITED,
+            NodeCaps::new(2, u32::MAX),
+            NodeCaps::new(u32::MAX, 0),
+            NodeCaps::new(3, 5),
+        ];
+        let links = Graph::from_edges(4, &[(0, 1), (2, 1), (2, 3), (3, 0), (0, 2)]);
+        let topology = Topology::new(links, vec![1, 3, 1, 1, 2], caps);
+        let mesh_demands = DemandSet::from_pairs(4, &[(0, 2), (3, 1), (0, 2)]);
+        let prior =
+            EdgePartition::new(vec![vec![EdgeId(0), EdgeId(2)], vec![EdgeId(3), EdgeId(1)]]);
+        let delta = DemandDelta::new(
+            vec![DemandPair::new(NodeId(4), NodeId(2))],
+            vec![DemandPair::new(NodeId(3), NodeId(0))],
+        );
+        vec![
+            Instance::upsr(graph.clone(), 3),
+            Instance::ring(demands.clone(), 2),
+            Instance::budgeted(graph, 3, 2),
+            Instance::weighted(weighted, 4),
+            Instance::blsr(BlsrRing::new(6), demands.clone(), 2),
+            Instance::mesh(topology, mesh_demands, 2, 3),
+            Instance::reconfigure(demands, prior, delta, 2),
+        ]
+    }
+
     #[test]
     fn batch_request_round_trips_byte_for_byte() {
-        let request = sample_request();
+        let mut request = sample_request();
+        request.items.extend(one_of_each_kind());
         let wire = format_batch_request(&request).unwrap();
         let parsed = match parse_str(&wire, &ServiceConfig::default()).unwrap() {
             WireRequest::Batch(r) => r,

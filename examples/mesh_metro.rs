@@ -64,7 +64,7 @@ fn main() {
         hops as f64 / routes.len() as f64,
     );
     println!(
-        "groomed: {} SADMs on {} wavelengths (lower bound {lower_bound}, gap {}), 0 blocked",
+        "groomed: {} SADMs on {} wavelengths (lower bound {lower_bound}, cost over bound {}), 0 blocked",
         outcome.report.sadm_total,
         outcome.report.wavelengths,
         outcome.report.sadm_total as u64 - lower_bound,
