@@ -161,9 +161,9 @@ echo "== perf smoke: mesh loading baseline (release, --fast) =="
 # 2.47-2.57x). Also measures mesh solve throughput through the service
 # with the cache off (the median of five timed phases), asserts
 # byte-identical transcripts at 1 vs 4 workers, asserts the curve's route
-# table hits do not fall below their pinned total (1,457), and asserts peak
-# RSS stays under the fast tier's ceiling (the binary exits non-zero on any
-# breach).
+# table hits do not fall below their pinned total (1,457) and its routes
+# evaluated do not rise above theirs (6,240), and asserts peak RSS stays
+# under the fast tier's ceiling (the binary exits non-zero on any breach).
 # The checked-in results/BENCH_mesh.json is produced by the full run:
 # target/release/perf_mesh
 target/release/perf_mesh --fast --out /tmp/BENCH_mesh_fast.json

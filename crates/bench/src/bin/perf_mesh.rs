@@ -21,8 +21,9 @@
 //! contract end to end: the same batch of mesh items produces
 //! byte-identical response transcripts on a 1-worker and a 4-worker
 //! service. At the fast tier the curve's total route table hits must not
-//! fall below [`FAST_ROUTE_TABLE_HITS`], a deterministic count beside the
-//! noisy cold/warm ratio.
+//! fall below [`FAST_ROUTE_TABLE_HITS`], and its total routes evaluated
+//! must not rise above [`FAST_ROUTES_EVALUATED`]: deterministic counts
+//! beside the noisy cold/warm ratio.
 //!
 //! Usage: `perf_mesh [--fast] [--out PATH]`
 
@@ -65,6 +66,16 @@ const THROUGHPUT_REPEATS: usize = 5;
 /// hitting drops the count and trips the gate, as it would the timing
 /// floor above, without the host's noise.
 const FAST_ROUTE_TABLE_HITS: u64 = 1_457;
+
+/// The fast tier's ceiling on candidate routes evaluated (the warm
+/// context's `SolveStats::routes_evaluated`) summed over its loading
+/// curve. Like the table hits it is deterministic: two `perf_mesh --fast`
+/// runs of the release build at commit f39ea72, with only this count's
+/// recording added, read exactly 6,240 (per level 192, 288, 384, …,
+/// 1,056) both times: three candidate routes per demand at every level
+/// (`routes = 3`). Routing that starts trying more candidates per demand
+/// raises the count and trips the gate.
+const FAST_ROUTES_EVALUATED: u64 = 6_240;
 
 /// Per-tier parameters of the metro mesh, its loading curve and the
 /// throughput batches.
@@ -138,6 +149,7 @@ fn main() {
     // level-pinned seed, so the curve is reproducible point by point.
     let mut levels = Vec::new();
     let (mut cold_total, mut warm_total, mut hits_total) = (0.0, 0.0, 0u64);
+    let mut routes_total = 0u64;
     let mut load = p.base_load;
     let mut warm_workspace = Workspace::new();
     let (blocking_point, rate) = loop {
@@ -160,6 +172,7 @@ fn main() {
             "load {load}: the warm route table changed the plan"
         );
         let route_table_hits = warm_ctx.stats().route_table_hits;
+        let routes_evaluated = warm_ctx.stats().routes_evaluated;
         warm_workspace = warm_ctx.into_workspace();
         let Plan::Mesh {
             outcome,
@@ -175,7 +188,8 @@ fn main() {
         let sadms = outcome.report.sadm_total;
         println!(
             "  load {load:>5}: blocked {:>4} ({:>5.2}%)  cold {cold_ms:>7.1} ms  \
-             warm {warm_ms:>7.1} ms ({route_table_hits:>5} table hits)  \
+             warm {warm_ms:>7.1} ms ({route_table_hits:>5} table hits, \
+             {routes_evaluated:>6} routes)  \
              sadms {sadms:>5} (lb {lower_bound})  max link load {max_link_load}",
             blocked.len(),
             100.0 * rate,
@@ -183,12 +197,14 @@ fn main() {
         levels.push(Json::Obj(fields![
             "load" => load, "blocked" => blocked.len(), "blocking_rate" => fixed(rate, 4),
             "cold_ms" => fixed(cold_ms, 1), "warm_ms" => fixed(warm_ms, 1),
-            "route_table_hits" => route_table_hits, "sadms" => sadms,
+            "route_table_hits" => route_table_hits, "routes_evaluated" => routes_evaluated,
+            "sadms" => sadms,
             "lower_bound" => lower_bound, "max_link_load" => max_link_load,
         ]));
         cold_total += cold_ms;
         warm_total += warm_ms;
         hits_total += route_table_hits;
+        routes_total += routes_evaluated;
         if rate >= BLOCKING_TARGET {
             break (load, rate);
         }
@@ -289,6 +305,7 @@ fn main() {
         "blocking_target" => Json::raw(BLOCKING_TARGET),
         "levels" => Json::Rows(levels),
         "blocking_point_load" => blocking_point,
+        "routes_evaluated" => routes_total,
         "cold_over_warm" => fixed(cold_over_warm, 2),
         "cold_over_warm_floor" => floor.map(Json::raw),
         "solves_per_sec" => fixed(solves_per_sec, 1),
@@ -310,6 +327,11 @@ fn main() {
             "route table hits over the curve",
             hits_total as f64,
             Bound::AtLeast(FAST_ROUTE_TABLE_HITS as f64),
+        );
+        h.check(
+            "routes evaluated over the curve",
+            routes_total as f64,
+            Bound::AtMost(FAST_ROUTES_EVALUATED as f64),
         );
     }
 }

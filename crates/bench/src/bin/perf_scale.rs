@@ -3,10 +3,11 @@
 //! Generates one instance per family — `gnm`, `power_law` (Chung–Lu), and
 //! `random_geometric` — at the scale tier's pinned sizes, runs each through
 //! generation, the `SpanT_Euler` construction, and sparse-incidence
-//! refinement, and writes per-stage wall clock plus the process peak RSS to
-//! `results/BENCH_scale.json`.
+//! refinement (every scale-tier instance is far above the engine's dense
+//! cutover, so it runs on per-part rows and views), and writes per-stage
+//! wall clock plus the process peak RSS to `results/BENCH_scale.json`.
 //!
-//! Three contracts are enforced on top of the timings:
+//! Five contracts are enforced on top of the timings:
 //!
 //! * **bit-identity** — the forced-sparse refine is checked against the
 //!   forced-dense refine (on a comparison cell small enough for the dense

@@ -8,12 +8,17 @@
 //! * [`Part`] — edge list + occupied-node list. The occupancy list's length
 //!   is the part's SADM cost, and merging/overlap scoring iterate it instead
 //!   of sweeping `0..n`.
-//! * [`Engine`] — the parts plus shared state: one flat incidence-count
-//!   matrix (`W × n`, a single allocation for the whole engine) giving O(1)
-//!   per-part node counts, an edge → position map so removal is O(1) instead
-//!   of a linear scan, and a node → occupying-parts map so the move pass
-//!   asks "which part already covers this endpoint?" instead of scanning
-//!   all `W` parts.
+//! * [`Engine`] — the parts plus shared state: per-part node counts, an
+//!   edge → position map so removal is O(1) instead of a linear scan, and
+//!   node lists (one arena, sized by degree) holding each node's occupying
+//!   parts with its count in each, so the move pass asks "which part
+//!   already covers this endpoint?" instead of scanning all `W` parts.
+//!   The per-part counts have two backends that answer identically: a
+//!   flat `W × n` matrix while it has at most [`DENSE_INCIDENCE_MAX`]
+//!   entries (cache-sized, O(1) lookups), and above that one
+//!   `(node, count)` row per part plus two `n`-sized views that hold the
+//!   parts a pass is working on, so refine and warm repair read O(1)
+//!   counts in O(n + m) memory.
 //! * A mutation-free swap pass: per-edge cost contributions are precomputed
 //!   once per pair from the (static) counts, most candidate rows collapse to
 //!   scanning only the few "negative-contribution" edges of the other side,
@@ -84,15 +89,19 @@ fn pair_delta(ea: EdgeInfo, fb: EdgeInfo) -> i32 {
         + cv * ((v != x) & (v != y)) as i32
 }
 
-/// Dense-incidence budget: above this many `W · n` entries (2²² u16s,
-/// 8 MiB) the engine switches to the sparse per-part representation. At
-/// the million-edge tier (`n = 10⁵`, `W ≈ m/k`) the dense matrix would be
-/// gigabytes; below the threshold dense wins on constant factors.
-const DENSE_INCIDENCE_MAX: usize = 1 << 22;
+/// Dense-incidence cutover: the engine keeps the flat `W × n` count matrix
+/// only while it has at most this many entries (2²⁰ `u16`s, 2 MiB: one
+/// core's L2 on the 2-vCPU Xeon host it was measured on), and uses the
+/// sparse backend above it. A ForceDense-vs-ForceSparse sweep of 8-round
+/// refine and warm repair on `power_law(n)` at `k = 16`, W·n from 2¹² to
+/// 2²², one solve alone and two at once, had dense ahead by 10–30 % up to
+/// 2¹⁹, the two within noise of each other from 2¹⁹·⁵ to 2²¹, and sparse
+/// ahead by 5–20 % at 2²¹·⁶–2²² (DESIGN §14).
+const DENSE_INCIDENCE_MAX: usize = 1 << 20;
 
 /// How the engine stores incidence counts. `Auto` applies the
-/// [`DENSE_INCIDENCE_MAX`] density threshold; the forced variants exist for
-/// the bit-identity tests and the `perf_scale` bench comparison.
+/// [`DENSE_INCIDENCE_MAX`] cutover; the forced variants exist for the
+/// bit-identity tests and the `perf_scale` bench comparison.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum IncidenceMode {
     Auto,
@@ -100,79 +109,208 @@ pub(crate) enum IncidenceMode {
     ForceSparse,
 }
 
+/// No part: the state of a [`View`] that holds nothing.
+const NO_PART: u32 = u32::MAX;
+
+/// An `n`-sized copy of one part's node counts, so that a pair scan reads
+/// them in O(1) without a `W × n` matrix. Loading costs O(|occ|) for the
+/// part dropped plus the part taken; every count change to the held part
+/// is written through, so a view never outlives its part's state.
+struct View {
+    part: u32,
+    cnt: Vec<u32>,
+}
+
+impl View {
+    fn new(n: usize) -> Self {
+        View {
+            part: NO_PART,
+            cnt: vec![0; n],
+        }
+    }
+
+    fn load(&mut self, rows: &[Vec<(u32, u32)>], p: u32) {
+        if self.part != NO_PART {
+            for &(x, _) in &rows[self.part as usize] {
+                self.cnt[x as usize] = 0;
+            }
+        }
+        self.part = p;
+        for &(x, c) in &rows[p as usize] {
+            self.cnt[x as usize] = c;
+        }
+    }
+}
+
 /// Per-part node incidence counts, dense or sparse.
 ///
-/// Dense is the original flat `W × n` matrix (O(1) lookups, O(W·n)
-/// memory), held as `u16`: a node's count in a part never exceeds its
-/// degree, so dense is chosen only for graphs with `Δ ≤ u16::MAX`. Sparse
-/// keeps one `(node, count)` row per part; a part holds at most `k` edges,
-/// so rows have ≤ 2k entries and lookups are O(k) scans — independent of
-/// `n`. Both answer exactly the same counts, so every consumer is
-/// bit-identical across representations.
+/// Dense is the flat `W × n` matrix (O(1) lookups, O(W·n) memory), held
+/// as `u16`: a node's count in a part never exceeds its degree, so dense
+/// is chosen only for graphs with `Δ ≤ u16::MAX`. Sparse keeps one
+/// `(node, count)` row per part (at most `2k` entries, since a part holds
+/// at most `k` edges) plus two [`View`]s: the engine loads the parts a
+/// pass is working on into them ([`Engine::focus`]), so their counts are
+/// O(1) to read, and any other part's count is a row scan. Both answer
+/// exactly the same counts, so every consumer is bit-identical across
+/// representations.
 enum Incidence {
     Dense(Vec<u16>),
-    Sparse(Vec<Vec<(u32, u32)>>),
+    Sparse {
+        rows: Vec<Vec<(u32, u32)>>,
+        views: [View; 2],
+    },
 }
 
 impl Incidence {
+    fn is_dense(&self) -> bool {
+        matches!(self, Incidence::Dense(_))
+    }
+
     #[inline]
     fn get(&self, n: usize, p: usize, x: NodeId) -> u32 {
         match self {
             Incidence::Dense(cnt) => cnt[p * n + x.index()] as u32,
-            Incidence::Sparse(rows) => rows[p]
-                .iter()
-                .find(|&&(nd, _)| nd == x.0)
-                .map_or(0, |&(_, c)| c),
+            Incidence::Sparse { rows, views } => sparse_get(rows, views, p, x),
         }
     }
 
-    /// Increments the count of `x` in part `p`; returns the new count.
+    /// Adds one to (`up`) or takes one from the count of `x` in part `p`;
+    /// returns the new count.
     #[inline]
-    fn inc(&mut self, n: usize, p: usize, x: NodeId) -> u32 {
+    fn step(&mut self, n: usize, p: usize, x: NodeId, up: bool) -> u32 {
         match self {
             Incidence::Dense(cnt) => {
                 let slot = &mut cnt[p * n + x.index()];
-                *slot += 1;
+                if up {
+                    *slot += 1;
+                } else {
+                    *slot -= 1;
+                }
                 *slot as u32
             }
-            Incidence::Sparse(rows) => {
-                let row = &mut rows[p];
-                match row.iter_mut().find(|(nd, _)| *nd == x.0) {
-                    Some((_, c)) => {
-                        *c += 1;
-                        *c
-                    }
-                    None => {
-                        row.push((x.0, 1));
-                        1
-                    }
-                }
+            Incidence::Sparse { rows, views } => sparse_step(rows, views, p, x, up),
+        }
+    }
+}
+
+/// A sparse count: O(1) from a view holding `p`, else a scan of `p`'s row.
+fn sparse_get(rows: &[Vec<(u32, u32)>], views: &[View; 2], p: usize, x: NodeId) -> u32 {
+    if let Some(v) = views.iter().find(|v| v.part == p as u32) {
+        return v.cnt[x.index()];
+    }
+    rows[p]
+        .iter()
+        .find(|&&(nd, _)| nd == x.0)
+        .map_or(0, |&(_, c)| c)
+}
+
+/// [`Incidence::step`] on the sparse rows, written through to any view
+/// holding `p`.
+fn sparse_step(
+    rows: &mut [Vec<(u32, u32)>],
+    views: &mut [View; 2],
+    p: usize,
+    x: NodeId,
+    up: bool,
+) -> u32 {
+    let row = &mut rows[p];
+    let c = match row.iter().position(|&(nd, _)| nd == x.0) {
+        Some(i) if up => {
+            row[i].1 += 1;
+            row[i].1
+        }
+        Some(i) => {
+            row[i].1 -= 1;
+            let c = row[i].1;
+            if c == 0 {
+                row.swap_remove(i);
             }
+            c
+        }
+        None => {
+            assert!(up, "decrement of absent incidence count");
+            row.push((x.0, 1));
+            1
+        }
+    };
+    for v in views.iter_mut().filter(|v| v.part == p as u32) {
+        v.cnt[x.index()] = c;
+    }
+    c
+}
+
+/// Node-side incidence: every node's occupying parts, each with the node's
+/// count in it, in one arena. Parts are edge-disjoint, so a node lies in at
+/// most `deg(x)` of them; node `x`'s slice is sized by its degree, and
+/// ingest allocates the arena once instead of a list per node.
+///
+/// Under the sparse backend every count change is mirrored here, so the
+/// swap sweep's gather reads leaf-ness from the list. Under the dense
+/// backend an entry is written only when a part starts or stops occupying
+/// the node, and its count is not read: the matrix answers in O(1), and
+/// mirroring each change would cost a list scan per update.
+struct NodeLists {
+    /// Node `x`'s entries are `ent[start[x]..start[x] + len[x]]`, with room
+    /// up to `start[x + 1]`. Unordered, one entry per occupying part.
+    start: Vec<u32>,
+    len: Vec<u32>,
+    ent: Vec<(u32, u32)>,
+}
+
+impl NodeLists {
+    fn new(g: &Graph) -> Self {
+        let mut start = Vec::with_capacity(g.num_nodes() + 1);
+        let mut end = 0u32;
+        start.push(0);
+        for x in g.nodes() {
+            end += g.degree(x) as u32;
+            start.push(end);
+        }
+        NodeLists {
+            start,
+            len: vec![0; g.num_nodes()],
+            ent: vec![(0, 0); end as usize],
         }
     }
 
-    /// Decrements the count of `x` in part `p`; returns the new count.
+    /// `(part, count)` for every part occupying `x`.
     #[inline]
-    fn dec(&mut self, n: usize, p: usize, x: NodeId) -> u32 {
-        match self {
-            Incidence::Dense(cnt) => {
-                let slot = &mut cnt[p * n + x.index()];
-                *slot -= 1;
-                *slot as u32
-            }
-            Incidence::Sparse(rows) => {
-                let row = &mut rows[p];
-                let i = row
-                    .iter()
-                    .position(|&(nd, _)| nd == x.0)
-                    .expect("decrement of absent incidence count");
-                row[i].1 -= 1;
-                let c = row[i].1;
-                if c == 0 {
-                    row.swap_remove(i);
-                }
-                c
-            }
+    fn of(&self, x: NodeId) -> &[(u32, u32)] {
+        let s = self.start[x.index()] as usize;
+        &self.ent[s..s + self.len[x.index()] as usize]
+    }
+
+    /// `true` if part `p` occupies `x`.
+    #[inline]
+    fn holds(&self, x: NodeId, p: usize) -> bool {
+        self.of(x).iter().any(|&(q, _)| q == p as u32)
+    }
+
+    /// Appends part `p` (absent from `x`'s list) with count `c`.
+    fn push(&mut self, x: NodeId, p: usize, c: u32) {
+        let i = x.index();
+        let at = (self.start[i] + self.len[i]) as usize;
+        assert!(at < self.start[i + 1] as usize, "parts share an edge");
+        self.ent[at] = (p as u32, c);
+        self.len[i] += 1;
+    }
+
+    /// Records count `c` of `x` in part `p` (present): updates the entry,
+    /// or drops it at zero (the last entry fills the hole).
+    fn set(&mut self, x: NodeId, p: usize, c: u32) {
+        let i = x.index();
+        let s = self.start[i] as usize;
+        let len = self.len[i] as usize;
+        let list = &mut self.ent[s..s + len];
+        let j = list
+            .iter()
+            .position(|&(q, _)| q == p as u32)
+            .expect("node list must hold the occupying part");
+        if c == 0 {
+            list[j] = list[len - 1];
+            self.len[i] -= 1;
+        } else {
+            list[j].1 = c;
         }
     }
 }
@@ -230,12 +368,12 @@ pub(crate) struct Engine<'g> {
     /// Edge id → current position inside its part's `edges` vector.
     /// Only meaningful for edges currently placed in some part.
     edge_pos: Vec<u32>,
-    /// Node → indices of the parts occupying it (unordered, duplicate-free).
-    at_node: Vec<Vec<u32>>,
-    /// Incidence counts, dense (`W × n` matrix) or sparse (per-part rows)
-    /// per the density threshold. The part count `W` is fixed for an
-    /// engine's lifetime (parts may empty but never vanish), so dense
-    /// strides and sparse row indices stay valid.
+    /// Node → the parts occupying it, with the node's count in each.
+    nodes: NodeLists,
+    /// Part → node counts, dense (`W × n` matrix) or sparse (rows plus
+    /// views) per the cutover. The part count `W` is fixed for an engine's
+    /// lifetime (parts may empty but never vanish), so dense strides and
+    /// sparse row indices stay valid.
     inc: Incidence,
     /// Reusable swap-pass scratch (no per-pair allocation).
     info_a: Vec<EdgeInfo>,
@@ -271,14 +409,16 @@ impl<'g> Engine<'g> {
     /// [`EdgePartition`] — may contain empty parts. Warm repair uses this
     /// to ingest a prior plan with removed edges already vacated and spare
     /// slots appended for the first-fit placement of added edges.
+    ///
+    /// One pass over the edges: a node-indexed tally counts each part's
+    /// incidences, and the counts go straight into the node-list arena and
+    /// the chosen backend. No per-node vector is allocated.
     pub fn from_lists(g: &'g Graph, lists: Vec<Vec<EdgeId>>, mode: IncidenceMode) -> Self {
-        let parts = build_parts(g, lists);
         let n = g.num_nodes();
+        let w = lists.len();
         let counts_fit_u16 = g.max_degree() <= u16::MAX as usize;
         let dense = match mode {
-            IncidenceMode::Auto => {
-                counts_fit_u16 && parts.len().saturating_mul(n) <= DENSE_INCIDENCE_MAX
-            }
+            IncidenceMode::Auto => counts_fit_u16 && w.saturating_mul(n) <= DENSE_INCIDENCE_MAX,
             IncidenceMode::ForceDense => {
                 assert!(
                     counts_fit_u16,
@@ -289,35 +429,59 @@ impl<'g> Engine<'g> {
             IncidenceMode::ForceSparse => false,
         };
         let mut inc = if dense {
-            Incidence::Dense(vec![0u16; parts.len() * n])
+            Incidence::Dense(vec![0u16; w * n])
         } else {
-            Incidence::Sparse(
-                parts
-                    .iter()
-                    .map(|p| Vec::with_capacity(p.occ.len()))
-                    .collect(),
-            )
+            Incidence::Sparse {
+                rows: Vec::with_capacity(w),
+                views: [View::new(n), View::new(n)],
+            }
         };
+        let mut nodes = NodeLists::new(g);
         let mut edge_pos = vec![0u32; g.num_edges()];
-        let mut at_node: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (i, p) in parts.iter().enumerate() {
-            for (pos, &e) in p.edges.iter().enumerate() {
+        let mut tally = vec![0u32; n];
+        let mut occ: Vec<NodeId> = Vec::new();
+        let mut parts = Vec::with_capacity(w);
+        for (i, edges) in lists.into_iter().enumerate() {
+            occ.clear();
+            for (pos, &e) in edges.iter().enumerate() {
                 edge_pos[e.index()] = pos as u32;
                 let (u, v) = g.endpoints(e);
-                inc.inc(n, i, u);
-                inc.inc(n, i, v);
+                for z in [u, v] {
+                    if tally[z.index()] == 0 {
+                        occ.push(z);
+                    }
+                    tally[z.index()] += 1;
+                }
             }
-            for &x in &p.occ {
-                at_node[x.index()].push(i as u32);
+            match &mut inc {
+                Incidence::Dense(cnt) => {
+                    for &x in &occ {
+                        let c = std::mem::take(&mut tally[x.index()]);
+                        nodes.push(x, i, c);
+                        cnt[i * n + x.index()] = c as u16;
+                    }
+                }
+                Incidence::Sparse { rows, .. } => {
+                    let mut row = Vec::with_capacity(occ.len());
+                    for &x in &occ {
+                        let c = std::mem::take(&mut tally[x.index()]);
+                        nodes.push(x, i, c);
+                        row.push((x.0, c));
+                    }
+                    rows.push(row);
+                }
             }
+            parts.push(Part {
+                edges,
+                occ: occ.clone(),
+            });
         }
-        let w = parts.len();
         Engine {
             g,
             n,
             parts,
             edge_pos,
-            at_node,
+            nodes,
             inc,
             info_a: Vec::new(),
             info_b: Vec::new(),
@@ -340,10 +504,52 @@ impl<'g> Engine<'g> {
         self.parts.into_iter().map(|p| p.edges).collect()
     }
 
-    /// Incidence count of node `x` in part `p`. O(1) dense, O(k) sparse.
+    /// Incidence count of node `x` in part `p`. O(1) dense, and O(1)
+    /// sparse for the parts held in views ([`Self::focus`]); a row scan of
+    /// at most `2k` entries for any other sparse part.
     #[inline]
     pub fn cnt_of(&self, p: usize, x: NodeId) -> u32 {
         self.inc.get(self.n, p, x)
+    }
+
+    /// `true` if `x` is a leaf (count 1) in part `p`, whose node-list
+    /// entry for `x` carries `listed`; see [`NodeLists`] for which backend
+    /// keeps that count current.
+    #[inline]
+    fn is_leaf(&self, p: usize, x: NodeId, listed: u32) -> bool {
+        if self.inc.is_dense() {
+            self.cnt_of(p, x) == 1
+        } else {
+            listed == 1
+        }
+    }
+
+    /// Count slots the engine holds: the dense matrix or the sparse rows
+    /// and views, plus the node-list arena.
+    #[cfg(test)]
+    fn count_slots(&self) -> usize {
+        let part_side = match &self.inc {
+            Incidence::Dense(cnt) => cnt.len(),
+            Incidence::Sparse { rows, views } => {
+                rows.iter().map(Vec::capacity).sum::<usize>()
+                    + views.iter().map(|v| v.cnt.len()).sum::<usize>()
+            }
+        };
+        part_side + self.nodes.ent.len()
+    }
+
+    /// Makes the counts of parts `a` and `b` (`a == b` for one part) O(1)
+    /// to read: the sparse backend loads whichever of them its two views
+    /// do not already hold, without evicting the other. A no-op for dense.
+    pub fn focus(&mut self, a: usize, b: usize) {
+        if let Incidence::Sparse { rows, views } = &mut self.inc {
+            for (p, q) in [(a as u32, b as u32), (b as u32, a as u32)] {
+                if views[0].part != p && views[1].part != p {
+                    let slot = (views[0].part == q) as usize;
+                    views[slot].load(rows, p);
+                }
+            }
+        }
     }
 
     /// Removes `e` from part `a` in O(1) + occupancy upkeep.
@@ -360,8 +566,17 @@ impl<'g> Engine<'g> {
         }
         let (u, v) = self.g.endpoints(e);
         for x in [u, v] {
-            if self.inc.dec(self.n, a, x) == 0 {
-                self.vacate(a, x);
+            let c = self.inc.step(self.n, a, x, false);
+            if c == 0 {
+                self.nodes.set(x, a, 0);
+                let occ = &mut self.parts[a].occ;
+                let i = occ
+                    .iter()
+                    .position(|&y| y == x)
+                    .expect("vacated node must be occupied");
+                occ.swap_remove(i);
+            } else if !self.inc.is_dense() {
+                self.nodes.set(x, a, c);
             }
         }
         self.stamp(a);
@@ -372,9 +587,12 @@ impl<'g> Engine<'g> {
         self.stamp(a);
         let (u, v) = self.g.endpoints(e);
         for x in [u, v] {
-            if self.inc.inc(self.n, a, x) == 1 {
+            let c = self.inc.step(self.n, a, x, true);
+            if c == 1 {
+                self.nodes.push(x, a, 1);
                 self.parts[a].occ.push(x);
-                self.at_node[x.index()].push(a as u32);
+            } else if !self.inc.is_dense() {
+                self.nodes.set(x, a, c);
             }
         }
         self.edge_pos[e.index()] = self.parts[a].edges.len() as u32;
@@ -385,21 +603,6 @@ impl<'g> Engine<'g> {
     fn stamp(&mut self, a: usize) {
         self.clock += 1;
         self.changed_at[a] = self.clock;
-    }
-
-    fn vacate(&mut self, a: usize, x: NodeId) {
-        let occ = &mut self.parts[a].occ;
-        let i = occ
-            .iter()
-            .position(|&y| y == x)
-            .expect("vacated node must be occupied");
-        occ.swap_remove(i);
-        let list = &mut self.at_node[x.index()];
-        let i = list
-            .iter()
-            .position(|&p| p == a as u32)
-            .expect("at_node must list the occupying part");
-        list.swap_remove(i);
     }
 
     /// Replays the net *vector* effect of the seed's rejected trial swap on
@@ -457,10 +660,12 @@ impl<'g> Engine<'g> {
     /// Closed-form cost delta of swapping `e` (in part `a`) with `f` (in
     /// part `b`): endpoints shared between the two edges cancel, every
     /// other endpoint contributes a gain if it is new to the receiving part
-    /// and a saving if it was held only by the leaving edge. O(1).
+    /// and a saving if it was held only by the leaving edge.
     ///
     /// Equals the seed's `after - before` from the 8-mutation simulation.
-    /// Used by `anneal`, where each iteration touches one random pair once.
+    /// Used by `anneal`, where each iteration touches one random pair once;
+    /// on the sparse backend its lookups scan rows, since loading views for
+    /// a pair visited once would cost as much.
     pub fn swap_delta(&mut self, a: usize, b: usize, e: EdgeId, f: EdgeId) -> isize {
         self.swaps_evaluated += 1;
         let (u, v) = self.g.endpoints(e);
@@ -487,7 +692,8 @@ impl<'g> Engine<'g> {
     ///
     /// `freed ∈ {1, 2}`, and `added = 2 - |{u, v} ∩ occupied(b)|`, so the
     /// only candidates are parts already occupying `u` or `v` — found in the
-    /// `at_node` index instead of scanning all `W` parts. Taking the minimum
+    /// node lists instead of scanning all `W` parts, which also answer
+    /// whether a candidate holds the other endpoint. Taking the minimum
     /// index reproduces the seed's first-hit `0..W` scan exactly.
     pub fn first_move_target(
         &self,
@@ -499,13 +705,13 @@ impl<'g> Engine<'g> {
     ) -> Option<usize> {
         debug_assert!(freed == 1 || freed == 2);
         let mut best: Option<usize> = None;
-        for &b in &self.at_node[u.index()] {
+        for &(b, _) in self.nodes.of(u) {
             let b = b as usize;
             if b == a || self.parts[b].edges.len() >= k {
                 continue;
             }
             // freed == 1 needs added == 0: b must hold the other endpoint too.
-            if freed == 1 && self.cnt_of(b, v) == 0 {
+            if freed == 1 && !self.nodes.holds(v, b) {
                 continue;
             }
             if best.is_none_or(|cur| b < cur) {
@@ -514,7 +720,7 @@ impl<'g> Engine<'g> {
         }
         if freed == 2 {
             // added == 1 also qualifies: parts holding only `v`.
-            for &b in &self.at_node[v.index()] {
+            for &(b, _) in self.nodes.of(v) {
                 let b = b as usize;
                 if b == a || self.parts[b].edges.len() >= k {
                     continue;
@@ -546,6 +752,7 @@ impl<'g> Engine<'g> {
         b: usize,
         mut accept: impl FnMut(&Self, EdgeId, EdgeId) -> bool,
     ) -> Option<(usize, usize)> {
+        self.focus(a, b);
         let mut info_a = std::mem::take(&mut self.info_a);
         let mut info_b = std::mem::take(&mut self.info_b);
         let mut neg_b = std::mem::take(&mut self.neg_b);
@@ -654,9 +861,10 @@ impl<'g> Engine<'g> {
     /// swap. A swap term `[cnt_b(u) = 0] − [cnt_a(u) = 1]` is negative only
     /// when `u` is held by both parts and is a leaf in `a` (symmetrically
     /// for the `b`-side terms), so without such a node every term is
-    /// non-negative and no combination can improve. O(k) dense, O(k²)
-    /// sparse.
-    pub fn shares_leaf(&self, a: usize, b: usize) -> bool {
+    /// non-negative and no combination can improve. O(k) once both parts
+    /// are in focus.
+    pub fn shares_leaf(&mut self, a: usize, b: usize) -> bool {
+        self.focus(a, b);
         self.parts[a].occ.iter().any(|&x| {
             let cb = self.cnt_of(b, x);
             cb == 1 || (cb > 1 && self.cnt_of(a, x) == 1)
@@ -674,7 +882,8 @@ impl<'g> Engine<'g> {
     ///   forces `u` to be held by *both* parts and to be a leaf (count 1) in
     ///   `a`; likewise for the `b`-side terms. So only partners holding some
     ///   node of `a` that is a leaf in one of the two parts are candidates
-    ///   (found through the `at_node` inverted index); every other pair is a
+    ///   (found through the node lists; [`Self::is_leaf`] reads each
+    ///   partner's count without a row scan); every other pair is a
     ///   guaranteed miss that evaluates zero combinations.
     /// * **Clean pair.** Whether a pair has an improving swap depends only
     ///   on the two parts' edge *sets*, not on edge order. Each row records
@@ -732,13 +941,13 @@ impl<'g> Engine<'g> {
             // Candidate partners: parts above `a` sharing a node that is a
             // leaf in `a` or in the partner, minus clean pairs.
             cands.clear();
+            self.focus(a, a);
             for &x in &self.parts[a].occ {
                 let leaf_a = self.cnt_of(a, x) == 1;
-                for &p in &self.at_node[x.index()] {
-                    let b = p as usize;
-                    if b > a
-                        && (leaf_a || self.cnt_of(b, x) == 1)
-                        && !(clean_a && p < bound && self.changed_at[b] <= tick)
+                for &(p, c) in self.nodes.of(x) {
+                    if p as usize > a
+                        && (leaf_a || self.is_leaf(p as usize, x, c))
+                        && !(clean_a && p < bound && self.changed_at[p as usize] <= tick)
                     {
                         cands.push(p);
                     }
@@ -824,7 +1033,7 @@ impl<'g> Engine<'g> {
     pub fn partners_sharing_nodes(&self, a: usize, out: &mut Vec<u32>) {
         out.clear();
         for &x in &self.parts[a].occ {
-            for &p in &self.at_node[x.index()] {
+            for &(p, _) in self.nodes.of(x) {
                 if p as usize != a {
                     out.push(p);
                 }
@@ -858,8 +1067,8 @@ impl<'g> Engine<'g> {
 
     /// Places an unassigned edge first-fit with affinity: among parts with
     /// spare capacity, the lowest-indexed one introducing the fewest new
-    /// nodes (parts already holding an endpoint are found through
-    /// `at_node`, so the lookup touches only those); with no affinity
+    /// nodes (parts already holding an endpoint are found through the node
+    /// lists, so the lookup touches only those); with no affinity
     /// candidate, the lowest-indexed part with space. Unlike the online
     /// groomer, ties never go to the fullest part. Returns the receiving
     /// part.
@@ -870,17 +1079,17 @@ impl<'g> Engine<'g> {
     pub fn place_with_affinity(&mut self, e: EdgeId, k: usize) -> usize {
         let (u, v) = self.g.endpoints(e);
         let mut best: Option<(usize, usize)> = None; // (new_nodes, part)
-        for &p in self.at_node[u.index()]
-            .iter()
-            .chain(&self.at_node[v.index()])
-        {
-            let p = p as usize;
-            if self.parts[p].edges.len() >= k {
-                continue;
-            }
-            let new_nodes = (self.cnt_of(p, u) == 0) as usize + (self.cnt_of(p, v) == 0) as usize;
-            if best.is_none_or(|(bn, bp)| new_nodes < bn || (new_nodes == bn && p < bp)) {
-                best = Some((new_nodes, p));
+        for (x, y) in [(u, v), (v, u)] {
+            // Every part on x's list holds x; it gains y unless it holds y.
+            for &(p, _) in self.nodes.of(x) {
+                let p = p as usize;
+                if self.parts[p].edges.len() >= k {
+                    continue;
+                }
+                let new_nodes = !self.nodes.holds(y, p) as usize;
+                if best.is_none_or(|(bn, bp)| new_nodes < bn || (new_nodes == bn && p < bp)) {
+                    best = Some((new_nodes, p));
+                }
             }
         }
         let target = match best {
@@ -926,9 +1135,10 @@ impl<'g> Engine<'g> {
 mod tests {
     use super::*;
     use grooming_graph::generators;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// The exhaustive double loop [`Engine::repair_pair`] replaced: every
     /// `(i, j)` in edge-vector order, one closed-form [`Engine::swap_delta`]
@@ -974,9 +1184,12 @@ mod tests {
             edges.shuffle(&mut rng);
             let lists: Vec<Vec<EdgeId>> = edges.chunks(k).map(<[EdgeId]>::to_vec).collect();
             let w = lists.len();
-            for budget in [None, Some(0), Some(2), Some(8)] {
-                let mut fast = Engine::from_lists(&g, lists.clone(), IncidenceMode::Auto);
-                let mut slow = Engine::from_lists(&g, lists.clone(), IncidenceMode::Auto);
+            for (mode, budget) in BOTH_MODES
+                .into_iter()
+                .flat_map(|mode| [None, Some(0), Some(2), Some(8)].map(|b| (mode, b)))
+            {
+                let mut fast = Engine::from_lists(&g, lists.clone(), mode);
+                let mut slow = Engine::from_lists(&g, lists.clone(), mode);
                 let (mut left_fast, mut left_slow) = (budget, budget);
                 let mut swaps = 0;
                 for a in 0..w {
@@ -986,7 +1199,7 @@ mod tests {
                             let want = repair_pair_oracle(&mut slow, a, b, &mut left_slow);
                             assert_eq!(
                                 got, want,
-                                "seed {seed}, budget {budget:?}, pair ({a}, {b})"
+                                "seed {seed}, {mode:?}, budget {budget:?}, pair ({a}, {b})"
                             );
                             assert_eq!(left_fast, left_slow);
                             assert_eq!(fast.parts[a].edges, slow.parts[a].edges);
@@ -1015,22 +1228,166 @@ mod tests {
             let mut edges: Vec<EdgeId> = g.edges().collect();
             edges.shuffle(&mut rng);
             let lists: Vec<Vec<EdgeId>> = edges.chunks(5).map(<[EdgeId]>::to_vec).collect();
-            let mut eng = Engine::from_lists(&g, lists, IncidenceMode::ForceSparse);
-            let w = eng.parts.len();
-            for a in 0..w {
-                for b in (0..w).filter(|&b| b != a) {
-                    let improving = eng.parts[a].edges.clone().into_iter().any(|e| {
-                        eng.parts[b]
-                            .edges
-                            .clone()
-                            .into_iter()
-                            .any(|f| eng.swap_delta(a, b, e, f) < 0)
-                    });
-                    if improving {
-                        assert!(eng.shares_leaf(a, b), "pair ({a}, {b})");
+            for mode in BOTH_MODES {
+                let mut eng = Engine::from_lists(&g, lists.clone(), mode);
+                let w = eng.parts.len();
+                for a in 0..w {
+                    for b in (0..w).filter(|&b| b != a) {
+                        let improving = eng.parts[a].edges.clone().into_iter().any(|e| {
+                            eng.parts[b]
+                                .edges
+                                .clone()
+                                .into_iter()
+                                .any(|f| eng.swap_delta(a, b, e, f) < 0)
+                        });
+                        if improving {
+                            assert!(eng.shares_leaf(a, b), "{mode:?}, pair ({a}, {b})");
+                        }
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn sparse_counts_take_linear_storage_above_the_cutover() {
+        // ring-powerlaw's 5900-node class: a W × n matrix would hold
+        // 6.4M counts; the sparse backend holds one row entry and one
+        // node-list entry per (part, node) occupancy plus two n-sized
+        // views.
+        let g = generators::power_law(5900, 2.5, 6.0, &mut StdRng::seed_from_u64(1));
+        let (n, m) = (g.num_nodes(), g.num_edges());
+        let edges: Vec<EdgeId> = g.edges().collect();
+        let lists: Vec<Vec<EdgeId>> = edges.chunks(16).map(<[EdgeId]>::to_vec).collect();
+        let w = lists.len();
+        assert!(w * n > DENSE_INCIDENCE_MAX);
+        let eng = Engine::from_lists(&g, lists, IncidenceMode::Auto);
+        let slots = eng.count_slots();
+        assert!(
+            slots <= 2 * n + 4 * m,
+            "{slots} count slots for n = {n}, m = {m}"
+        );
+        assert!(slots * 50 < w * n, "{slots} slots against W·n = {}", w * n);
+    }
+
+    /// Both backends, for tests that must hold whichever one runs.
+    const BOTH_MODES: [IncidenceMode; 2] = [IncidenceMode::ForceDense, IncidenceMode::ForceSparse];
+
+    /// Panics unless the two engines hold the same edge vectors and answer
+    /// the same count for every (part, node).
+    fn assert_in_step(dense: &Engine, sparse: &Engine, step: &str) {
+        assert_eq!(dense.parts.len(), sparse.parts.len());
+        for p in 0..dense.parts.len() {
+            assert_eq!(
+                dense.parts[p].edges, sparse.parts[p].edges,
+                "{step}: part {p}"
+            );
+            for x in dense.g.nodes() {
+                assert_eq!(
+                    dense.cnt_of(p, x),
+                    sparse.cnt_of(p, x),
+                    "{step}: count of {x:?} in part {p}"
+                );
+            }
+        }
+    }
+
+    /// One random engine operation, applied to both engines with the same
+    /// arguments; returns its name and checks the two return values agree.
+    fn random_step<'g>(
+        dense: &mut Engine<'g>,
+        sparse: &mut Engine<'g>,
+        k: usize,
+        rng: &mut StdRng,
+    ) -> String {
+        let w = dense.parts.len();
+        let nonempty: Vec<usize> = (0..w)
+            .filter(|&p| !dense.parts[p].edges.is_empty())
+            .collect();
+        let a = nonempty[rng.gen_range(0..nonempty.len())];
+        let b = (a + 1 + rng.gen_range(0..w - 1)) % w;
+        let e = dense.parts[a].edges[rng.gen_range(0..dense.parts[a].edges.len())];
+        match rng.gen_range(0..7u32) {
+            0 if dense.parts[b].edges.len() < k => {
+                for eng in [&mut *dense, &mut *sparse] {
+                    eng.remove_edge_from(a, e);
+                    eng.add_edge_to(b, e);
+                }
+                format!("move {e:?} {a} -> {b}")
+            }
+            1 if !dense.parts[b].edges.is_empty() => {
+                let f = dense.parts[b].edges[rng.gen_range(0..dense.parts[b].edges.len())];
+                dense.apply_swap(a, b, e, f);
+                sparse.apply_swap(a, b, e, f);
+                format!("apply_swap {e:?} {f:?} ({a}, {b})")
+            }
+            2 => {
+                assert_eq!(dense.swap_pass_pair(a, b), sparse.swap_pass_pair(a, b));
+                format!("swap_pass_pair ({a}, {b})")
+            }
+            3 => {
+                assert_eq!(dense.swap_sweep(), sparse.swap_sweep());
+                "swap_sweep".into()
+            }
+            4 => {
+                for eng in [&mut *dense, &mut *sparse] {
+                    eng.remove_edge_from(a, e);
+                }
+                assert_eq!(
+                    dense.place_with_affinity(e, k),
+                    sparse.place_with_affinity(e, k)
+                );
+                format!("place_with_affinity {e:?} from {a}")
+            }
+            5 => {
+                let budget = [None, Some(1), Some(4)][rng.gen_range(0..3)];
+                let (mut left_d, mut left_s) = (budget, budget);
+                assert_eq!(
+                    dense.repair_pair(a, b, &mut left_d),
+                    sparse.repair_pair(a, b, &mut left_s)
+                );
+                format!("repair_pair ({a}, {b}) budget {budget:?}")
+            }
+            _ => {
+                assert_eq!(dense.shares_leaf(a, b), sparse.shares_leaf(a, b));
+                format!("shares_leaf ({a}, {b})")
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The sparse backend (rows, node lists, views) answers every count
+        /// the dense matrix does, and moves edges identically, through any
+        /// sequence of engine operations.
+        #[test]
+        fn dense_and_sparse_engines_stay_in_step(
+            seed in any::<u64>(),
+            power_law in any::<bool>(),
+            n in 12usize..40,
+            k in 2usize..7,
+            steps in 10usize..60,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = if power_law {
+                generators::power_law(n, 2.5, 4.0, &mut rng)
+            } else {
+                generators::gnm(n, 3 * n, &mut rng)
+            };
+            prop_assume!(g.num_edges() > k);
+            let mut edges: Vec<EdgeId> = g.edges().collect();
+            edges.shuffle(&mut rng);
+            let mut lists: Vec<Vec<EdgeId>> = edges.chunks(k).map(<[EdgeId]>::to_vec).collect();
+            lists.push(Vec::new()); // spare capacity for placements
+            let mut dense = Engine::from_lists(&g, lists.clone(), IncidenceMode::ForceDense);
+            let mut sparse = Engine::from_lists(&g, lists, IncidenceMode::ForceSparse);
+            assert_in_step(&dense, &sparse, "ingest");
+            for _ in 0..steps {
+                let step = random_step(&mut dense, &mut sparse, k, &mut rng);
+                assert_in_step(&dense, &sparse, &step);
+            }
+            prop_assert_eq!(dense.cost(), sparse.cost());
         }
     }
 }

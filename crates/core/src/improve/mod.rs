@@ -43,10 +43,14 @@ pub use packing::{clique_first, dense_first};
 /// cap) is reached. The result is always valid, never costlier, and never
 /// uses more wavelengths than the input.
 ///
-/// Moves are found through a node → occupying-parts index and swaps through
-/// closed-form deltas over a flat incidence-count matrix — no trial
-/// mutations, no per-pair allocations. Output is bit-identical to the
-/// seed `refine` (`grooming_oracle::improve::refine`).
+/// Moves are found through node lists (each node's occupying parts, with
+/// its count in each) and swaps through closed-form deltas over per-part
+/// incidence counts — no trial mutations, no per-pair allocations. The
+/// counts sit in a flat `W × n` matrix while it is cache-sized, and above
+/// that in per-part rows, with the two parts under scan copied into
+/// `n`-sized views, so memory stays O(n + m) and every hot-path count
+/// lookup stays O(1). Output is bit-identical to the seed `refine`
+/// (`grooming_oracle::improve::refine`) under either representation.
 ///
 /// ```
 /// use grooming::improve::refine;
@@ -78,8 +82,8 @@ pub fn refine_with_stats(
 }
 
 /// Bench/test hook: [`refine`] with the engine's incidence representation
-/// pinned to sparse (`true`) or dense (`false`) instead of the density
-/// threshold picking one. Outputs are bit-identical across representations;
+/// pinned to sparse (`true`) or dense (`false`) instead of the `W × n`
+/// cutover picking one. Outputs are bit-identical across representations;
 /// `perf_scale` uses this to measure the dense-vs-sparse tradeoff and the
 /// bit-identity tests use it to prove the claim.
 #[doc(hidden)]
@@ -116,6 +120,7 @@ fn refine_with_stats_mode(
         // target must already hold enough of the edge's endpoints; the
         // engine finds the lowest-index such part directly.
         'moves: for a in 0..eng.parts.len() {
+            eng.focus(a, a);
             let mut ei = 0;
             while ei < eng.parts[a].edges.len() {
                 let e = eng.parts[a].edges[ei];
@@ -135,7 +140,7 @@ fn refine_with_stats_mode(
 
         // Pairwise swaps (handle full parts, the common case after
         // Proposition 2 cutting). The sweep visits only pairs sharing an
-        // occupied node — found through the inverted index — and replays
+        // occupied node — found through the node lists — and replays
         // the skipped pairs' vector rotations lazily, staying bit-identical
         // to the reference's all-pairs scan.
         if eng.swap_sweep() {
@@ -270,6 +275,7 @@ pub fn warm_repair(
         // move pass, restricted to the frontier and budget-gated).
         for &a in &dirty {
             let a = a as usize;
+            eng.focus(a, a);
             let mut ei = 0;
             while ei < eng.parts[a].edges.len() {
                 let e = eng.parts[a].edges[ei];
@@ -277,6 +283,7 @@ pub fn warm_repair(
                 let freed = (eng.cnt_of(a, u) == 1) as usize + (eng.cnt_of(a, v) == 1) as usize;
                 if freed > 0 {
                     if let Some(b) = eng.first_move_target(a, u, v, freed, k) {
+                        eng.focus(a, b);
                         let added_nodes =
                             (eng.cnt_of(b, u) == 0) as usize + (eng.cnt_of(b, v) == 0) as usize;
                         let churn = freed + added_nodes;
@@ -348,8 +355,11 @@ pub fn warm_repair(
 /// the pair with the largest node overlap. Cost never increases; the
 /// wavelength count strictly decreases with every merge.
 ///
-/// Pair overlaps are computed once into a cached matrix (each by iterating
-/// one part's occupied nodes against a stamp, not `0..n`), and each row
+/// Pair overlaps are computed once into a cached `W0 × W0` matrix over the
+/// input's `W0` parts, each by iterating one part's occupied nodes against
+/// a stamp, not `0..n`. That fill costs O(W0²·|occ|) time and the matrix
+/// O(W0²) memory, quadratic in the part count where refine and warm
+/// repair are linear in the graph. Each row
 /// caches its first best partner: the lowest-index later part that fits
 /// with the largest overlap. A merge of `b` into `a` changes only part
 /// `a`, removes part `b`, and relocates the last part into slot `b`, so
@@ -707,6 +717,17 @@ mod tests {
                 assert_eq!(dense.parts(), refine(&g, k, &base, 8).parts());
             }
         }
+        // ring-powerlaw's 3000-node class, where W·n is above the dense
+        // cutover and `refine` runs on the sparse rows and views.
+        let g = generators::power_law(3000, 2.5, 6.0, &mut rng(1));
+        let base = spant_euler(&g, 16, TreeStrategy::Bfs, &mut rng(1));
+        assert!(base.num_wavelengths() * g.num_nodes() > 1 << 20);
+        let dense = refine_forced_incidence(&g, 16, &base, 8, false);
+        assert_eq!(
+            dense.parts(),
+            refine(&g, 16, &base, 8).parts(),
+            "power_law n 3000"
+        );
     }
 
     #[test]
