@@ -11,14 +11,14 @@
 //! * [`Engine`] — the parts plus shared state: per-part node counts, an
 //!   edge → position map so removal is O(1) instead of a linear scan, and
 //!   node lists (one arena, sized by degree) holding each node's occupying
-//!   parts with its count in each, so the move pass asks "which part
-//!   already covers this endpoint?" instead of scanning all `W` parts.
-//!   The per-part counts have two backends that answer identically: a
-//!   flat `W × n` matrix while it has at most [`DENSE_INCIDENCE_MAX`]
-//!   entries (cache-sized, O(1) lookups), and above that one
-//!   `(node, count)` row per part plus two `n`-sized views that hold the
-//!   parts a pass is working on, so refine and warm repair read O(1)
-//!   counts in O(n + m) memory.
+//!   parts, so the move pass asks "which part already covers this
+//!   endpoint?" instead of scanning all `W` parts. The counts have two
+//!   backends that answer identically: a flat `W × n` matrix while it has
+//!   at most [`DENSE_INCIDENCE_MAX`] entries (cache-sized, O(1) lookups),
+//!   and above that the node lists carry each count, with two `n`-sized
+//!   views holding the parts a pass is working on. Pair scans then read
+//!   both parts' counts in O(1), any other part's count is a scan of the
+//!   node's list, and refine and warm repair run in O(n + m) memory.
 //! * A mutation-free swap pass: per-edge cost contributions are precomputed
 //!   once per pair from the (static) counts, most candidate rows collapse to
 //!   scanning only the few "negative-contribution" edges of the other side,
@@ -113,9 +113,10 @@ pub(crate) enum IncidenceMode {
 const NO_PART: u32 = u32::MAX;
 
 /// An `n`-sized copy of one part's node counts, so that a pair scan reads
-/// them in O(1) without a `W × n` matrix. Loading costs O(|occ|) for the
-/// part dropped plus the part taken; every count change to the held part
-/// is written through, so a view never outlives its part's state.
+/// them in O(1) without a `W × n` matrix. Loading zeroes the part dropped
+/// (O(|occ|)) and counts the part taken over its edges (O(k)); every count
+/// change to the held part is written through, so a view never outlives
+/// its part's state.
 struct View {
     part: u32,
     cnt: Vec<u32>,
@@ -129,188 +130,247 @@ impl View {
         }
     }
 
-    fn load(&mut self, rows: &[Vec<(u32, u32)>], p: u32) {
+    fn load(&mut self, g: &Graph, parts: &[Part], p: u32) {
         if self.part != NO_PART {
-            for &(x, _) in &rows[self.part as usize] {
-                self.cnt[x as usize] = 0;
+            for &x in &parts[self.part as usize].occ {
+                self.cnt[x.index()] = 0;
             }
         }
         self.part = p;
-        for &(x, c) in &rows[p as usize] {
-            self.cnt[x as usize] = c;
+        for &e in &parts[p as usize].edges {
+            let (u, v) = g.endpoints(e);
+            self.cnt[u.index()] += 1;
+            self.cnt[v.index()] += 1;
         }
     }
 }
 
-/// Per-part node incidence counts, dense or sparse.
+/// A node-list entry: the occupying part, alone or with the node's count
+/// in it.
+trait Entry: Copy + Default {
+    fn part(self) -> u32;
+}
+
+impl Entry for u32 {
+    #[inline]
+    fn part(self) -> u32 {
+        self
+    }
+}
+
+impl Entry for (u32, u32) {
+    #[inline]
+    fn part(self) -> u32 {
+        self.0
+    }
+}
+
+/// Node-side incidence: every node's occupying parts, in one arena. Parts
+/// are edge-disjoint, so a node lies in at most `deg(x)` of them; node
+/// `x`'s slice is sized by its degree, and ingest allocates the arena once
+/// instead of a list per node.
+struct NodeLists<E> {
+    /// `span[x] = (start, len)`: node `x`'s entries are
+    /// `ent[start..start + len]`, with room up to `span[x + 1].0`
+    /// (`span[n]` closes the arena). Unordered, one entry per occupying
+    /// part.
+    span: Vec<(u32, u32)>,
+    ent: Vec<E>,
+}
+
+impl<E: Entry> NodeLists<E> {
+    fn new(g: &Graph) -> Self {
+        let mut span = Vec::with_capacity(g.num_nodes() + 1);
+        let mut end = 0u32;
+        for x in g.nodes() {
+            span.push((end, 0));
+            end += g.degree(x) as u32;
+        }
+        span.push((end, 0));
+        NodeLists {
+            span,
+            ent: vec![E::default(); end as usize],
+        }
+    }
+
+    /// The entry of every part occupying `x`.
+    #[inline]
+    fn of(&self, x: NodeId) -> &[E] {
+        let (s, len) = self.span[x.index()];
+        &self.ent[s as usize..(s + len) as usize]
+    }
+
+    /// Part `p`'s entry in `x`'s list, if `p` occupies `x`: a list scan.
+    #[inline]
+    fn find(&mut self, x: NodeId, p: usize) -> Option<&mut E> {
+        let (s, len) = self.span[x.index()];
+        self.ent[s as usize..(s + len) as usize]
+            .iter_mut()
+            .find(|e| e.part() == p as u32)
+    }
+
+    /// Appends `e`, whose part must not be on `x`'s list yet.
+    fn push(&mut self, x: NodeId, e: E) {
+        let i = x.index();
+        let (s, len) = self.span[i];
+        assert!(s + len < self.span[i + 1].0, "parts share an edge");
+        self.ent[(s + len) as usize] = e;
+        self.span[i].1 += 1;
+    }
+
+    /// Drops part `p`'s entry from `x`'s list (the last entry fills the
+    /// hole).
+    fn remove(&mut self, x: NodeId, p: usize) {
+        let i = x.index();
+        let (s, len) = self.span[i];
+        let list = &mut self.ent[s as usize..(s + len) as usize];
+        let j = list
+            .iter()
+            .position(|e| e.part() == p as u32)
+            .expect("node list must hold the occupying part");
+        list[j] = list[len as usize - 1];
+        self.span[i].1 -= 1;
+    }
+}
+
+/// Per-part node incidence counts, dense or sparse, with the node lists
+/// that go with each.
 ///
 /// Dense is the flat `W × n` matrix (O(1) lookups, O(W·n) memory), held
 /// as `u16`: a node's count in a part never exceeds its degree, so dense
-/// is chosen only for graphs with `Δ ≤ u16::MAX`. Sparse keeps one
-/// `(node, count)` row per part (at most `2k` entries, since a part holds
-/// at most `k` edges) plus two [`View`]s: the engine loads the parts a
-/// pass is working on into them ([`Engine::focus`]), so their counts are
-/// O(1) to read, and any other part's count is a row scan. Both answer
-/// exactly the same counts, so every consumer is bit-identical across
-/// representations.
+/// is chosen only for graphs with `Δ ≤ u16::MAX`. Its node lists hold
+/// parts only, written when a part starts or stops occupying a node; the
+/// matrix answers every count. Sparse keeps each count once, in the node
+/// lists' `(part, count)` entries, plus two [`View`]s: the engine loads
+/// the parts a pass is working on into them ([`Engine::focus`]), so their
+/// counts are O(1) to read, any other part's count is a scan of the
+/// node's list, and the swap sweep's gather reads a partner's leaf-ness
+/// straight from the entry. Both answer exactly the same counts, so every
+/// consumer is bit-identical across representations.
+///
+/// Mirroring counts into the dense node lists would cost a list scan per
+/// count change, which `anneal` pays on every accepted swap.
 enum Incidence {
-    Dense(Vec<u16>),
+    Dense {
+        cnt: Vec<u16>,
+        nodes: NodeLists<u32>,
+    },
     Sparse {
-        rows: Vec<Vec<(u32, u32)>>,
         views: [View; 2],
+        nodes: NodeLists<(u32, u32)>,
     },
 }
 
 impl Incidence {
-    fn is_dense(&self) -> bool {
-        matches!(self, Incidence::Dense(_))
-    }
-
     #[inline]
     fn get(&self, n: usize, p: usize, x: NodeId) -> u32 {
         match self {
-            Incidence::Dense(cnt) => cnt[p * n + x.index()] as u32,
-            Incidence::Sparse { rows, views } => sparse_get(rows, views, p, x),
+            Incidence::Dense { cnt, .. } => cnt[p * n + x.index()] as u32,
+            Incidence::Sparse { views, nodes } => match views.iter().find(|v| v.part == p as u32) {
+                Some(v) => v.cnt[x.index()],
+                None => nodes
+                    .of(x)
+                    .iter()
+                    .find(|&&(q, _)| q == p as u32)
+                    .map_or(0, |&(_, c)| c),
+            },
         }
     }
 
-    /// Adds one to (`up`) or takes one from the count of `x` in part `p`;
-    /// returns the new count.
+    /// Increments the count of `x` in part `p`; returns the new count.
     #[inline]
-    fn step(&mut self, n: usize, p: usize, x: NodeId, up: bool) -> u32 {
+    fn inc(&mut self, n: usize, p: usize, x: NodeId) -> u32 {
         match self {
-            Incidence::Dense(cnt) => {
+            Incidence::Dense { cnt, nodes } => {
                 let slot = &mut cnt[p * n + x.index()];
-                if up {
-                    *slot += 1;
-                } else {
-                    *slot -= 1;
+                *slot += 1;
+                if *slot == 1 {
+                    nodes.push(x, p as u32);
                 }
                 *slot as u32
             }
-            Incidence::Sparse { rows, views } => sparse_step(rows, views, p, x, up),
+            Incidence::Sparse { views, nodes } => sparse_step(views, nodes, p, x, true),
+        }
+    }
+
+    /// Decrements the count of `x` in part `p`; returns the new count.
+    #[inline]
+    fn dec(&mut self, n: usize, p: usize, x: NodeId) -> u32 {
+        match self {
+            Incidence::Dense { cnt, nodes } => {
+                let slot = &mut cnt[p * n + x.index()];
+                *slot -= 1;
+                if *slot == 0 {
+                    nodes.remove(x, p);
+                }
+                *slot as u32
+            }
+            Incidence::Sparse { views, nodes } => sparse_step(views, nodes, p, x, false),
+        }
+    }
+
+    /// The parts occupying `x`.
+    #[inline]
+    fn parts_at(&self, x: NodeId) -> PartsAt<'_> {
+        match self {
+            Incidence::Dense { nodes, .. } => PartsAt::Dense(nodes.of(x).iter()),
+            Incidence::Sparse { nodes, .. } => PartsAt::Sparse(nodes.of(x).iter()),
         }
     }
 }
 
-/// A sparse count: O(1) from a view holding `p`, else a scan of `p`'s row.
-fn sparse_get(rows: &[Vec<(u32, u32)>], views: &[View; 2], p: usize, x: NodeId) -> u32 {
-    if let Some(v) = views.iter().find(|v| v.part == p as u32) {
-        return v.cnt[x.index()];
-    }
-    rows[p]
-        .iter()
-        .find(|&&(nd, _)| nd == x.0)
-        .map_or(0, |&(_, c)| c)
-}
-
-/// [`Incidence::step`] on the sparse rows, written through to any view
-/// holding `p`.
+/// A sparse count change: adds one to (`up`) or takes one from the count
+/// of `x` in part `p` in `x`'s list (entering `p` at 1, dropping it at 0),
+/// writes it through to any view holding `p`, and returns it. Kept out of
+/// line: refine and warm repair change few counts, and the dense arms of
+/// [`Incidence::inc`] and [`Incidence::dec`], which `anneal` runs on every
+/// accepted move, stay small.
+#[inline(never)]
 fn sparse_step(
-    rows: &mut [Vec<(u32, u32)>],
     views: &mut [View; 2],
+    nodes: &mut NodeLists<(u32, u32)>,
     p: usize,
     x: NodeId,
     up: bool,
 ) -> u32 {
-    let row = &mut rows[p];
-    let c = match row.iter().position(|&(nd, _)| nd == x.0) {
-        Some(i) if up => {
-            row[i].1 += 1;
-            row[i].1
-        }
-        Some(i) => {
-            row[i].1 -= 1;
-            let c = row[i].1;
-            if c == 0 {
-                row.swap_remove(i);
+    let c = match nodes.find(x, p) {
+        Some((_, c)) => {
+            if up {
+                *c += 1;
+            } else {
+                *c -= 1;
             }
-            c
+            *c
         }
         None => {
             assert!(up, "decrement of absent incidence count");
-            row.push((x.0, 1));
+            nodes.push(x, (p as u32, 1));
             1
         }
     };
+    if c == 0 {
+        nodes.remove(x, p);
+    }
     for v in views.iter_mut().filter(|v| v.part == p as u32) {
         v.cnt[x.index()] = c;
     }
     c
 }
 
-/// Node-side incidence: every node's occupying parts, each with the node's
-/// count in it, in one arena. Parts are edge-disjoint, so a node lies in at
-/// most `deg(x)` of them; node `x`'s slice is sized by its degree, and
-/// ingest allocates the arena once instead of a list per node.
-///
-/// Under the sparse backend every count change is mirrored here, so the
-/// swap sweep's gather reads leaf-ness from the list. Under the dense
-/// backend an entry is written only when a part starts or stops occupying
-/// the node, and its count is not read: the matrix answers in O(1), and
-/// mirroring each change would cost a list scan per update.
-struct NodeLists {
-    /// Node `x`'s entries are `ent[start[x]..start[x] + len[x]]`, with room
-    /// up to `start[x + 1]`. Unordered, one entry per occupying part.
-    start: Vec<u32>,
-    len: Vec<u32>,
-    ent: Vec<(u32, u32)>,
+/// Iterator over the parts occupying one node ([`Incidence::parts_at`]).
+enum PartsAt<'a> {
+    Dense(std::slice::Iter<'a, u32>),
+    Sparse(std::slice::Iter<'a, (u32, u32)>),
 }
 
-impl NodeLists {
-    fn new(g: &Graph) -> Self {
-        let mut start = Vec::with_capacity(g.num_nodes() + 1);
-        let mut end = 0u32;
-        start.push(0);
-        for x in g.nodes() {
-            end += g.degree(x) as u32;
-            start.push(end);
-        }
-        NodeLists {
-            start,
-            len: vec![0; g.num_nodes()],
-            ent: vec![(0, 0); end as usize],
-        }
-    }
+impl Iterator for PartsAt<'_> {
+    type Item = usize;
 
-    /// `(part, count)` for every part occupying `x`.
     #[inline]
-    fn of(&self, x: NodeId) -> &[(u32, u32)] {
-        let s = self.start[x.index()] as usize;
-        &self.ent[s..s + self.len[x.index()] as usize]
-    }
-
-    /// `true` if part `p` occupies `x`.
-    #[inline]
-    fn holds(&self, x: NodeId, p: usize) -> bool {
-        self.of(x).iter().any(|&(q, _)| q == p as u32)
-    }
-
-    /// Appends part `p` (absent from `x`'s list) with count `c`.
-    fn push(&mut self, x: NodeId, p: usize, c: u32) {
-        let i = x.index();
-        let at = (self.start[i] + self.len[i]) as usize;
-        assert!(at < self.start[i + 1] as usize, "parts share an edge");
-        self.ent[at] = (p as u32, c);
-        self.len[i] += 1;
-    }
-
-    /// Records count `c` of `x` in part `p` (present): updates the entry,
-    /// or drops it at zero (the last entry fills the hole).
-    fn set(&mut self, x: NodeId, p: usize, c: u32) {
-        let i = x.index();
-        let s = self.start[i] as usize;
-        let len = self.len[i] as usize;
-        let list = &mut self.ent[s..s + len];
-        let j = list
-            .iter()
-            .position(|&(q, _)| q == p as u32)
-            .expect("node list must hold the occupying part");
-        if c == 0 {
-            list[j] = list[len - 1];
-            self.len[i] -= 1;
-        } else {
-            list[j].1 = c;
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            PartsAt::Dense(it) => it.next().map(|&p| p as usize),
+            PartsAt::Sparse(it) => it.next().map(|&(p, _)| p as usize),
         }
     }
 }
@@ -368,12 +428,10 @@ pub(crate) struct Engine<'g> {
     /// Edge id → current position inside its part's `edges` vector.
     /// Only meaningful for edges currently placed in some part.
     edge_pos: Vec<u32>,
-    /// Node → the parts occupying it, with the node's count in each.
-    nodes: NodeLists,
-    /// Part → node counts, dense (`W × n` matrix) or sparse (rows plus
-    /// views) per the cutover. The part count `W` is fixed for an engine's
-    /// lifetime (parts may empty but never vanish), so dense strides and
-    /// sparse row indices stay valid.
+    /// Node counts per part and the node lists, dense (`W × n` matrix) or
+    /// sparse (counted node lists plus views) per the cutover. The part
+    /// count `W` is fixed for an engine's lifetime (parts may empty but
+    /// never vanish), so dense strides stay valid.
     inc: Incidence,
     /// Reusable swap-pass scratch (no per-pair allocation).
     info_a: Vec<EdgeInfo>,
@@ -411,8 +469,9 @@ impl<'g> Engine<'g> {
     /// slots appended for the first-fit placement of added edges.
     ///
     /// One pass over the edges: a node-indexed tally counts each part's
-    /// incidences, and the counts go straight into the node-list arena and
-    /// the chosen backend. No per-node vector is allocated.
+    /// incidences, and the counts go straight into the chosen backend: the
+    /// matrix and the node-list arena, or the arena alone. No per-node
+    /// vector and no per-part count storage is allocated.
     pub fn from_lists(g: &'g Graph, lists: Vec<Vec<EdgeId>>, mode: IncidenceMode) -> Self {
         let n = g.num_nodes();
         let w = lists.len();
@@ -429,14 +488,16 @@ impl<'g> Engine<'g> {
             IncidenceMode::ForceSparse => false,
         };
         let mut inc = if dense {
-            Incidence::Dense(vec![0u16; w * n])
+            Incidence::Dense {
+                cnt: vec![0u16; w * n],
+                nodes: NodeLists::new(g),
+            }
         } else {
             Incidence::Sparse {
-                rows: Vec::with_capacity(w),
                 views: [View::new(n), View::new(n)],
+                nodes: NodeLists::new(g),
             }
         };
-        let mut nodes = NodeLists::new(g);
         let mut edge_pos = vec![0u32; g.num_edges()];
         let mut tally = vec![0u32; n];
         let mut occ: Vec<NodeId> = Vec::new();
@@ -454,21 +515,16 @@ impl<'g> Engine<'g> {
                 }
             }
             match &mut inc {
-                Incidence::Dense(cnt) => {
+                Incidence::Dense { cnt, nodes } => {
                     for &x in &occ {
-                        let c = std::mem::take(&mut tally[x.index()]);
-                        nodes.push(x, i, c);
-                        cnt[i * n + x.index()] = c as u16;
+                        cnt[i * n + x.index()] = std::mem::take(&mut tally[x.index()]) as u16;
+                        nodes.push(x, i as u32);
                     }
                 }
-                Incidence::Sparse { rows, .. } => {
-                    let mut row = Vec::with_capacity(occ.len());
+                Incidence::Sparse { nodes, .. } => {
                     for &x in &occ {
-                        let c = std::mem::take(&mut tally[x.index()]);
-                        nodes.push(x, i, c);
-                        row.push((x.0, c));
+                        nodes.push(x, (i as u32, std::mem::take(&mut tally[x.index()])));
                     }
-                    rows.push(row);
                 }
             }
             parts.push(Part {
@@ -481,7 +537,6 @@ impl<'g> Engine<'g> {
             n,
             parts,
             edge_pos,
-            nodes,
             inc,
             info_a: Vec::new(),
             info_b: Vec::new(),
@@ -505,48 +560,34 @@ impl<'g> Engine<'g> {
     }
 
     /// Incidence count of node `x` in part `p`. O(1) dense, and O(1)
-    /// sparse for the parts held in views ([`Self::focus`]); a row scan of
-    /// at most `2k` entries for any other sparse part.
+    /// sparse for the parts held in views ([`Self::focus`]); for any other
+    /// sparse part, a scan of `x`'s node list (O(|L(x)|), at most `deg(x)`).
     #[inline]
     pub fn cnt_of(&self, p: usize, x: NodeId) -> u32 {
         self.inc.get(self.n, p, x)
     }
 
-    /// `true` if `x` is a leaf (count 1) in part `p`, whose node-list
-    /// entry for `x` carries `listed`; see [`NodeLists`] for which backend
-    /// keeps that count current.
-    #[inline]
-    fn is_leaf(&self, p: usize, x: NodeId, listed: u32) -> bool {
-        if self.inc.is_dense() {
-            self.cnt_of(p, x) == 1
-        } else {
-            listed == 1
-        }
-    }
-
-    /// Count slots the engine holds: the dense matrix or the sparse rows
-    /// and views, plus the node-list arena.
+    /// Count slots the engine holds: the dense matrix or the two sparse
+    /// views, plus the node-list arena's entries.
     #[cfg(test)]
     fn count_slots(&self) -> usize {
-        let part_side = match &self.inc {
-            Incidence::Dense(cnt) => cnt.len(),
-            Incidence::Sparse { rows, views } => {
-                rows.iter().map(Vec::capacity).sum::<usize>()
-                    + views.iter().map(|v| v.cnt.len()).sum::<usize>()
+        match &self.inc {
+            Incidence::Dense { cnt, nodes } => cnt.len() + nodes.ent.len(),
+            Incidence::Sparse { views, nodes } => {
+                views.iter().map(|v| v.cnt.len()).sum::<usize>() + nodes.ent.len()
             }
-        };
-        part_side + self.nodes.ent.len()
+        }
     }
 
     /// Makes the counts of parts `a` and `b` (`a == b` for one part) O(1)
     /// to read: the sparse backend loads whichever of them its two views
     /// do not already hold, without evicting the other. A no-op for dense.
     pub fn focus(&mut self, a: usize, b: usize) {
-        if let Incidence::Sparse { rows, views } = &mut self.inc {
+        if let Incidence::Sparse { views, .. } = &mut self.inc {
             for (p, q) in [(a as u32, b as u32), (b as u32, a as u32)] {
                 if views[0].part != p && views[1].part != p {
                     let slot = (views[0].part == q) as usize;
-                    views[slot].load(rows, p);
+                    views[slot].load(self.g, &self.parts, p);
                 }
             }
         }
@@ -566,17 +607,13 @@ impl<'g> Engine<'g> {
         }
         let (u, v) = self.g.endpoints(e);
         for x in [u, v] {
-            let c = self.inc.step(self.n, a, x, false);
-            if c == 0 {
-                self.nodes.set(x, a, 0);
+            if self.inc.dec(self.n, a, x) == 0 {
                 let occ = &mut self.parts[a].occ;
                 let i = occ
                     .iter()
                     .position(|&y| y == x)
                     .expect("vacated node must be occupied");
                 occ.swap_remove(i);
-            } else if !self.inc.is_dense() {
-                self.nodes.set(x, a, c);
             }
         }
         self.stamp(a);
@@ -587,12 +624,8 @@ impl<'g> Engine<'g> {
         self.stamp(a);
         let (u, v) = self.g.endpoints(e);
         for x in [u, v] {
-            let c = self.inc.step(self.n, a, x, true);
-            if c == 1 {
-                self.nodes.push(x, a, 1);
+            if self.inc.inc(self.n, a, x) == 1 {
                 self.parts[a].occ.push(x);
-            } else if !self.inc.is_dense() {
-                self.nodes.set(x, a, c);
             }
         }
         self.edge_pos[e.index()] = self.parts[a].edges.len() as u32;
@@ -664,8 +697,8 @@ impl<'g> Engine<'g> {
     ///
     /// Equals the seed's `after - before` from the 8-mutation simulation.
     /// Used by `anneal`, where each iteration touches one random pair once;
-    /// on the sparse backend its lookups scan rows, since loading views for
-    /// a pair visited once would cost as much.
+    /// on the sparse backend its lookups scan node lists, since loading
+    /// views for a pair visited once would cost as much.
     pub fn swap_delta(&mut self, a: usize, b: usize, e: EdgeId, f: EdgeId) -> isize {
         self.swaps_evaluated += 1;
         let (u, v) = self.g.endpoints(e);
@@ -692,8 +725,7 @@ impl<'g> Engine<'g> {
     ///
     /// `freed ∈ {1, 2}`, and `added = 2 - |{u, v} ∩ occupied(b)|`, so the
     /// only candidates are parts already occupying `u` or `v` — found in the
-    /// node lists instead of scanning all `W` parts, which also answer
-    /// whether a candidate holds the other endpoint. Taking the minimum
+    /// node lists instead of scanning all `W` parts. Taking the minimum
     /// index reproduces the seed's first-hit `0..W` scan exactly.
     pub fn first_move_target(
         &self,
@@ -705,13 +737,12 @@ impl<'g> Engine<'g> {
     ) -> Option<usize> {
         debug_assert!(freed == 1 || freed == 2);
         let mut best: Option<usize> = None;
-        for &(b, _) in self.nodes.of(u) {
-            let b = b as usize;
+        for b in self.inc.parts_at(u) {
             if b == a || self.parts[b].edges.len() >= k {
                 continue;
             }
             // freed == 1 needs added == 0: b must hold the other endpoint too.
-            if freed == 1 && !self.nodes.holds(v, b) {
+            if freed == 1 && self.cnt_of(b, v) == 0 {
                 continue;
             }
             if best.is_none_or(|cur| b < cur) {
@@ -720,8 +751,7 @@ impl<'g> Engine<'g> {
         }
         if freed == 2 {
             // added == 1 also qualifies: parts holding only `v`.
-            for &(b, _) in self.nodes.of(v) {
-                let b = b as usize;
+            for b in self.inc.parts_at(v) {
                 if b == a || self.parts[b].edges.len() >= k {
                     continue;
                 }
@@ -861,10 +891,12 @@ impl<'g> Engine<'g> {
     /// swap. A swap term `[cnt_b(u) = 0] − [cnt_a(u) = 1]` is negative only
     /// when `u` is held by both parts and is a leaf in `a` (symmetrically
     /// for the `b`-side terms), so without such a node every term is
-    /// non-negative and no combination can improve. O(k) once both parts
-    /// are in focus.
+    /// non-negative and no combination can improve. Only `a` is brought
+    /// into focus: most partners a warm repair tests share no leaf and are
+    /// never scanned, so a sparse `b` is read from the node lists of `a`'s
+    /// nodes (O(Σ |L(x)|) over `x ∈ occ(a)`) instead of loaded into a view.
     pub fn shares_leaf(&mut self, a: usize, b: usize) -> bool {
-        self.focus(a, b);
+        self.focus(a, a);
         self.parts[a].occ.iter().any(|&x| {
             let cb = self.cnt_of(b, x);
             cb == 1 || (cb > 1 && self.cnt_of(a, x) == 1)
@@ -882,8 +914,8 @@ impl<'g> Engine<'g> {
     ///   forces `u` to be held by *both* parts and to be a leaf (count 1) in
     ///   `a`; likewise for the `b`-side terms. So only partners holding some
     ///   node of `a` that is a leaf in one of the two parts are candidates
-    ///   (found through the node lists; [`Self::is_leaf`] reads each
-    ///   partner's count without a row scan); every other pair is a
+    ///   (found through the node lists; a sparse partner's count is read
+    ///   from its list entry, not scanned for); every other pair is a
     ///   guaranteed miss that evaluates zero combinations.
     /// * **Clean pair.** Whether a pair has an improving swap depends only
     ///   on the two parts' edge *sets*, not on edge order. Each row records
@@ -942,14 +974,25 @@ impl<'g> Engine<'g> {
             // leaf in `a` or in the partner, minus clean pairs.
             cands.clear();
             self.focus(a, a);
+            let open = |p: u32| {
+                p as usize > a && !(clean_a && p < bound && self.changed_at[p as usize] <= tick)
+            };
             for &x in &self.parts[a].occ {
                 let leaf_a = self.cnt_of(a, x) == 1;
-                for &(p, c) in self.nodes.of(x) {
-                    if p as usize > a
-                        && (leaf_a || self.is_leaf(p as usize, x, c))
-                        && !(clean_a && p < bound && self.changed_at[p as usize] <= tick)
-                    {
-                        cands.push(p);
+                match &self.inc {
+                    Incidence::Dense { cnt, nodes } => {
+                        for &p in nodes.of(x) {
+                            if open(p) && (leaf_a || cnt[p as usize * self.n + x.index()] == 1) {
+                                cands.push(p);
+                            }
+                        }
+                    }
+                    Incidence::Sparse { nodes, .. } => {
+                        for &(p, c) in nodes.of(x) {
+                            if open(p) && (leaf_a || c == 1) {
+                                cands.push(p);
+                            }
+                        }
                     }
                 }
             }
@@ -1033,9 +1076,9 @@ impl<'g> Engine<'g> {
     pub fn partners_sharing_nodes(&self, a: usize, out: &mut Vec<u32>) {
         out.clear();
         for &x in &self.parts[a].occ {
-            for &(p, _) in self.nodes.of(x) {
-                if p as usize != a {
-                    out.push(p);
+            for p in self.inc.parts_at(x) {
+                if p != a {
+                    out.push(p as u32);
                 }
             }
         }
@@ -1081,12 +1124,11 @@ impl<'g> Engine<'g> {
         let mut best: Option<(usize, usize)> = None; // (new_nodes, part)
         for (x, y) in [(u, v), (v, u)] {
             // Every part on x's list holds x; it gains y unless it holds y.
-            for &(p, _) in self.nodes.of(x) {
-                let p = p as usize;
+            for p in self.inc.parts_at(x) {
                 if self.parts[p].edges.len() >= k {
                     continue;
                 }
-                let new_nodes = !self.nodes.holds(y, p) as usize;
+                let new_nodes = (self.cnt_of(p, y) == 0) as usize;
                 if best.is_none_or(|(bn, bp)| new_nodes < bn || (new_nodes == bn && p < bp)) {
                     best = Some((new_nodes, p));
                 }
@@ -1252,9 +1294,9 @@ mod tests {
     #[test]
     fn sparse_counts_take_linear_storage_above_the_cutover() {
         // ring-powerlaw's 5900-node class: a W × n matrix would hold
-        // 6.4M counts; the sparse backend holds one row entry and one
-        // node-list entry per (part, node) occupancy plus two n-sized
-        // views.
+        // 6.4M counts; the sparse backend holds two n-sized views and a
+        // node-list arena of one slot per unit of degree (at least one per
+        // (part, node) occupancy).
         let g = generators::power_law(5900, 2.5, 6.0, &mut StdRng::seed_from_u64(1));
         let (n, m) = (g.num_nodes(), g.num_edges());
         let edges: Vec<EdgeId> = g.edges().collect();
@@ -1264,7 +1306,7 @@ mod tests {
         let eng = Engine::from_lists(&g, lists, IncidenceMode::Auto);
         let slots = eng.count_slots();
         assert!(
-            slots <= 2 * n + 4 * m,
+            slots <= 2 * n + 2 * m,
             "{slots} count slots for n = {n}, m = {m}"
         );
         assert!(slots * 50 < w * n, "{slots} slots against W·n = {}", w * n);
@@ -1273,8 +1315,9 @@ mod tests {
     /// Both backends, for tests that must hold whichever one runs.
     const BOTH_MODES: [IncidenceMode; 2] = [IncidenceMode::ForceDense, IncidenceMode::ForceSparse];
 
-    /// Panics unless the two engines hold the same edge vectors and answer
-    /// the same count for every (part, node).
+    /// Panics unless the two engines hold the same edge vectors, answer
+    /// the same count for every (part, node), and list exactly the parts
+    /// with a nonzero count at every node (sparse: with that count).
     fn assert_in_step(dense: &Engine, sparse: &Engine, step: &str) {
         assert_eq!(dense.parts.len(), sparse.parts.len());
         for p in 0..dense.parts.len() {
@@ -1289,6 +1332,24 @@ mod tests {
                     "{step}: count of {x:?} in part {p}"
                 );
             }
+        }
+        for x in dense.g.nodes() {
+            let want: Vec<(u32, u32)> = (0..dense.parts.len())
+                .map(|p| (p as u32, dense.cnt_of(p, x)))
+                .filter(|&(_, c)| c > 0)
+                .collect();
+            let (Incidence::Dense { nodes: dn, .. }, Incidence::Sparse { nodes: sn, .. }) =
+                (&dense.inc, &sparse.inc)
+            else {
+                panic!("engines must run one backend each");
+            };
+            let mut listed = dn.of(x).to_vec();
+            listed.sort_unstable();
+            let parts: Vec<u32> = want.iter().map(|&(p, _)| p).collect();
+            assert_eq!(listed, parts, "{step}: dense node list of {x:?}");
+            let mut listed = sn.of(x).to_vec();
+            listed.sort_unstable();
+            assert_eq!(listed, want, "{step}: sparse node list of {x:?}");
         }
     }
 
@@ -1358,9 +1419,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The sparse backend (rows, node lists, views) answers every count
-        /// the dense matrix does, and moves edges identically, through any
-        /// sequence of engine operations.
+        /// The sparse backend (counted node lists, views) answers every
+        /// count the dense matrix does, both list exactly the occupying
+        /// parts at every node, and both move edges identically, through
+        /// any sequence of engine operations.
         #[test]
         fn dense_and_sparse_engines_stay_in_step(
             seed in any::<u64>(),

@@ -383,16 +383,24 @@ impl DemandDelta {
     /// pair in `removed` order.
     pub fn apply(&self, demands: &DemandSet) -> Result<(DemandSet, Vec<u32>), SolveError> {
         let mut to_remove: HashMap<DemandPair, usize> = HashMap::new();
+        // Only a pair whose smaller endpoint some removal names can be
+        // withdrawn; marking those nodes spares every other pair the hash.
+        let mut removes_at = vec![false; demands.num_nodes()];
         for &p in &self.removed {
             *to_remove.entry(p).or_insert(0) += 1;
+            if let Some(mark) = removes_at.get_mut(p.lo().index()) {
+                *mark = true;
+            }
         }
         let mut old_to_new = vec![u32::MAX; demands.len()];
         let mut next = DemandSet::new(demands.num_nodes());
         for (i, &p) in demands.pairs().iter().enumerate() {
-            if let Some(c) = to_remove.get_mut(&p) {
-                if *c > 0 {
-                    *c -= 1;
-                    continue;
+            if removes_at[p.lo().index()] {
+                if let Some(c) = to_remove.get_mut(&p) {
+                    if *c > 0 {
+                        *c -= 1;
+                        continue;
+                    }
                 }
             }
             old_to_new[i] = next.len() as u32;
